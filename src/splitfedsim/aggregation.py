@@ -79,15 +79,20 @@ def coordinate_median(updates: np.ndarray) -> np.ndarray:
     return (srt[n // 2 - 1] + srt[n // 2]) / 2.0
 
 
-def update_stats(updates: np.ndarray) -> UpdateStats:
-    """Column-wise mean (same computation as fed_avg) and population std."""
-    updates = _check_matrix(updates)
-    mean = fed_avg(updates)
+def _population_std(updates: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    # squared deviations accumulated in row order
     centered = updates - mean
     acc = centered[0] ** 2
     for i in range(1, updates.shape[0]):
         acc += centered[i] ** 2
-    return UpdateStats(mean, np.sqrt(acc / updates.shape[0]))
+    return np.sqrt(acc / updates.shape[0])
+
+
+def update_stats(updates: np.ndarray) -> UpdateStats:
+    """Column-wise mean (same computation as fed_avg) and population std."""
+    updates = _check_matrix(updates)
+    mean = fed_avg(updates)
+    return UpdateStats(mean, _population_std(updates, mean))
 
 
 def aggregate(rule: AggregationRule, updates: np.ndarray) -> np.ndarray:

@@ -9,6 +9,14 @@ Two families:
   aggregation rule moves from the benign mean when m copies of the crafted
   row join the benign rows.
 
+The search never sorts the stacked rows. The m crafted rows are identical,
+so the benign columns are sorted once per search and each evaluation places
+the crafted value into that order and reduces only the positions the rule
+reads, with the same ascending accumulator as the aggregation rules. Every
+deviation, and so every gamma, is bit for bit the one that stacking the rows
+and calling aggregate gives; agr_deviation still takes that route and is the
+reference the tests hold the search to.
+
 All crafting reads only the benign rows it is given; nothing here inspects
 malicious clients' own data.
 """
@@ -18,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import AggregationRule, aggregate, fed_avg, update_stats
+from .aggregation import (AggregationRule, _check_matrix, _population_std,
+                          _sorted_slice_mean, aggregate, fed_avg, update_stats)
 
 PERTURB_KINDS = ("std", "unit", "sign")
 
@@ -63,6 +72,40 @@ class AttackSpec:
             raise ValueError("start_round must be non-negative")
 
 
+class BenignColumns:
+    """The benign rows with every column sorted once, and what the attacker
+    derives from them: the benign mean (the sum fed_avg takes) and the
+    perturbation directions.
+
+    gamma_search accepts one in place of the row matrix, so that a caller
+    crafting the row afterwards reads the mean and direction of the same sort.
+    """
+
+    def __init__(self, benign: np.ndarray):
+        self.rows = _check_matrix(benign)
+        self.sorted = np.sort(self.rows, axis=0)
+        self.mean = _sorted_slice_mean(self.sorted, 0, self.rows.shape[0])
+        self._directions: dict[str, np.ndarray] = {}
+
+    def perturbation(self, kind: str) -> np.ndarray:
+        """perturbation_vector(kind, rows), computed once per kind."""
+        if kind not in self._directions:
+            self._directions[kind] = self._direction(kind)
+        return self._directions[kind]
+
+    def _direction(self, kind: str) -> np.ndarray:
+        if kind == "std":
+            return -_population_std(self.rows, self.mean)
+        if kind == "unit":
+            norm = float(np.linalg.norm(self.mean))
+            if norm == 0.0:
+                raise ValueError("benign mean is zero, unit perturbation undefined")
+            return -self.mean / norm
+        if kind == "sign":
+            return -np.sign(self.mean)
+        raise ValueError(f"unknown perturbation {kind!r}")
+
+
 def benign_mean(benign: np.ndarray) -> np.ndarray:
     """Mean of the benign rows, the attacker's reference direction."""
     return fed_avg(benign)
@@ -75,17 +118,7 @@ def perturbation_vector(kind: str, benign: np.ndarray) -> np.ndarray:
     "unit": negative unit vector along the benign mean.
     "sign": negative sign pattern of the benign mean.
     """
-    if kind == "std":
-        return -update_stats(benign).std
-    if kind == "unit":
-        gb = fed_avg(benign)
-        norm = float(np.linalg.norm(gb))
-        if norm == 0.0:
-            raise ValueError("benign mean is zero, unit perturbation undefined")
-        return -gb / norm
-    if kind == "sign":
-        return -np.sign(fed_avg(benign))
-    raise ValueError(f"unknown perturbation {kind!r}")
+    return BenignColumns(benign).perturbation(kind)
 
 
 def craft_malicious(grad_benign: np.ndarray, grad_perturb: np.ndarray,
@@ -111,13 +144,63 @@ def agr_deviation(benign: np.ndarray, m: int, perturb: str, gamma: float,
     copies of the crafted row are appended."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    benign = np.asarray(benign, dtype=float)
-    gb = benign_mean(benign)
-    gp = perturbation_vector(perturb, benign)
-    return _deviation(benign, gb, gp, m, gamma, rule)
+    cols = BenignColumns(benign)
+    return _deviation(cols.rows, cols.mean, cols.perturbation(perturb), m,
+                      gamma, rule)
 
 
-def gamma_search(benign: np.ndarray, m: int, perturb: str,
+class _CraftedStack:
+    """What a rule makes of the benign rows stacked with m copies of one
+    crafted row, read off the benign columns sorted once.
+
+    Where k sorted benign values of a column sort before the crafted value v
+    (np.sort puts NaN last, so a NaN v has k = n), row j of the sorted stack
+    is sorted[j] for j < k, v for k <= j < k + m, and sorted[j - m] above.
+    The rule reads only rows lo..hi-1, so `below` holds sorted[j] and `above`
+    sorted[j - m] for those j, padded where the row does not exist: a NaN pad
+    never sorts before v, and a -inf pad sorts before every v but -inf, which
+    it equals. Then j < k exactly where below < v, and j < k + m exactly where
+    above < v, except in the NaN columns. Benign values equal to v count as
+    after it; they are the same value either way.
+    """
+
+    def __init__(self, sorted_benign: np.ndarray, m: int, rule: AggregationRule):
+        n, d = sorted_benign.shape
+        total = n + m
+        self.median = rule.kind == "median"
+        if self.median:
+            lo, hi = (total - 1) // 2, total // 2 + 1
+        else:
+            trim = rule.trim_count if rule.kind == "trmean" else 0
+            if total <= 2 * trim:
+                raise ValueError(f"trimmed mean needs n > 2 * trim_count, "
+                                 f"got n={total} trim_count={trim}")
+            lo, hi = trim, total - trim
+        j = np.arange(lo, hi)
+        self.below = np.full((hi - lo, d), np.nan)
+        self.below[j < n] = sorted_benign[j[j < n]]
+        self.above = np.full((hi - lo, d), -np.inf)
+        self.above[j >= m] = sorted_benign[j[j >= m] - m]
+        self.head = (j < n)[:, None]   # the rows a NaN v has before it
+
+    def aggregate(self, crafted: np.ndarray) -> np.ndarray:
+        """aggregate(rule, stack): the same sums in the same order, so the
+        same bits, except that where +0.0 and -0.0 tie a zero may take the
+        other sign, which no deviation can see."""
+        before = self.below < crafted
+        inside = self.above < crafted
+        nan = np.isnan(crafted)
+        if nan.any():
+            before[:, nan] = self.head
+            inside[:, nan] = True
+        win = np.where(inside, crafted, self.above)   # rows lo..hi-1 of the stack
+        np.copyto(win, self.below, where=before)
+        if self.median:
+            return win[0] if len(win) == 1 else (win[0] + win[1]) / 2.0
+        return _sorted_slice_mean(win, 0, len(win))
+
+
+def gamma_search(benign: np.ndarray | BenignColumns, m: int, perturb: str,
                  rule: AggregationRule, gamma_init: float = 10.0,
                  tau: float = 1e-5) -> GammaSearchResult:
     """Halving search for the gamma that maximizes agr_deviation.
@@ -128,6 +211,9 @@ def gamma_search(benign: np.ndarray, m: int, perturb: str,
     up, otherwise it moves down. The step halves every iteration and the
     search stops once it drops below tau, returning the largest successful
     gamma. Gamma stays within [0, 2 * gamma_init] throughout.
+
+    `benign` is the benign row matrix or a BenignColumns built from it. Each
+    deviation equals agr_deviation's bit for bit, but costs no sort.
     """
     if gamma_init <= 0:
         raise ValueError("gamma_init must be positive")
@@ -135,9 +221,10 @@ def gamma_search(benign: np.ndarray, m: int, perturb: str,
         raise ValueError("tau must be positive")
     if m < 1:
         raise ValueError("need at least one malicious row to search over")
-    benign = np.asarray(benign, dtype=float)
-    gb = benign_mean(benign)
-    gp = perturbation_vector(perturb, benign)
+    cols = benign if isinstance(benign, BenignColumns) else BenignColumns(benign)
+    gb = cols.mean
+    gp = cols.perturbation(perturb)
+    stack = _CraftedStack(cols.sorted, m, rule)
     gamma = gamma_init
     step = gamma_init / 2.0
     best = 0.0
@@ -145,7 +232,7 @@ def gamma_search(benign: np.ndarray, m: int, perturb: str,
     top_dev = 0.0
     evals = 0
     while step >= tau:
-        dev = _deviation(benign, gb, gp, m, gamma, rule)
+        dev = float(np.linalg.norm(gb - stack.aggregate(gb + gamma * gp)))
         evals += 1
         if dev >= (1.0 - _SUCCESS_RTOL) * best:
             if top_gamma is None or gamma > top_gamma:
@@ -174,9 +261,9 @@ def craft_round_update(attack: AttackSpec, benign: np.ndarray, m: int,
         return lie_update(benign, attack.z), None, None
     if attack.kind == "agropt":
         rule = attack.target_rule if attack.target_rule is not None else deployed_rule
-        res = gamma_search(benign, m, attack.perturb, rule,
+        cols = BenignColumns(benign)
+        res = gamma_search(cols, m, attack.perturb, rule,
                            attack.gamma_init, attack.tau)
-        gb = benign_mean(benign)
-        gp = perturbation_vector(attack.perturb, benign)
-        return craft_malicious(gb, gp, res.gamma), res.gamma, res.deviation
+        gp = cols.perturbation(attack.perturb)
+        return craft_malicious(cols.mean, gp, res.gamma), res.gamma, res.deviation
     raise ValueError(f"attack kind {attack.kind!r} crafts no update")

@@ -162,19 +162,6 @@ def param_count(spec: ModelSpec) -> int:
     return segment_param_count(spec.layers)
 
 
-def param_layout(spec: ModelSpec) -> list[list[tuple[int, tuple[int, ...]]]]:
-    """Per layer, the (offset, shape) of each parameter tensor in the flat vector."""
-    layout = []
-    off = 0
-    for layer in spec.layers:
-        entries = []
-        for shape in layer_param_shapes(layer):
-            entries.append((off, shape))
-            off += int(np.prod(shape))
-        layout.append(entries)
-    return layout
-
-
 def unflatten_segment(layers: tuple[Layer, ...], vec: np.ndarray) -> list[list[np.ndarray]]:
     """Views of the flat vector as per-layer tensors (no copies)."""
     need = segment_param_count(layers)

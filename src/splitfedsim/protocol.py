@@ -66,7 +66,8 @@ class RoundRecord:
 class RoundInfo:
     """Internals of one aggregation round, mainly for tests and demos."""
     rows: np.ndarray              # submitted update matrix, selected-id order
-    benign_rows: np.ndarray       # rows that fed the attacker's statistics
+    benign_rows: np.ndarray | None  # rows that fed the attacker's statistics;
+                                    # None when the attack is not active
     aggregated: np.ndarray
     loss: float
     gamma: float | None
@@ -114,12 +115,46 @@ def local_epoch(spec: nn.ModelSpec, params: np.ndarray, train: Dataset,
     return params, (float(np.mean(losses)) if losses else 0.0)
 
 
+def _attack_active(ctx: RoundContext, attack: AttackSpec) -> bool:
+    return attack.kind != "none" and ctx.round_no >= attack.start_round \
+        and ctx.m_round > 0
+
+
+def _aggregate_round(ctx: RoundContext, rows: dict[int, np.ndarray],
+                     current: np.ndarray, losses: list[float],
+                     attack: AttackSpec, defense: str):
+    """Replace the malicious rows with the crafted update once the attack is
+    active, then aggregate the rows in selected-id order.
+
+    A round whose selected clients are all malicious while the attack is
+    active leaves nothing to craft from and nothing honest to aggregate, so
+    it keeps `current`. Returns (new params, RoundInfo)."""
+    loss = float(np.mean(losses)) if losses else 0.0
+    rule = round_rule(defense, ctx.m_round)
+    benign = None
+    gamma = deviation = None
+    if _attack_active(ctx, attack):
+        benign_ids = [int(c) for c in ctx.selected if int(c) not in ctx.malicious]
+        if not benign_ids:
+            nothing = np.empty((0, current.size))
+            return current, RoundInfo(nothing, nothing, current, loss, None, None)
+        benign = np.stack([rows[cid] for cid in benign_ids])
+        vec, gamma, deviation = craft_round_update(attack, benign, ctx.m_round, rule)
+        if vec.shape != current.shape:
+            raise nn.ShapeError("crafted update does not match the aggregated parameters")
+        for cid in ctx.selected:
+            if int(cid) in ctx.malicious:
+                rows[int(cid)] = vec
+    matrix = np.stack([rows[int(c)] for c in ctx.selected])
+    new = aggregate(rule, matrix)
+    return new, RoundInfo(matrix, benign, new, loss, gamma, deviation)
+
+
 def run_fl_round(ctx: RoundContext, spec: nn.ModelSpec, global_params: np.ndarray,
                  train: Dataset, part: Partition, batch_size: int, seed: int,
                  attack: AttackSpec, defense: str):
     """One fl round. Returns (new global params, RoundInfo)."""
-    active = attack.kind != "none" and ctx.round_no >= attack.start_round \
-        and ctx.m_round > 0
+    active = _attack_active(ctx, attack)
     rows = {}
     losses = []
     for cid in ctx.selected:
@@ -130,22 +165,7 @@ def run_fl_round(ctx: RoundContext, spec: nn.ModelSpec, global_params: np.ndarra
         new_params, loss = local_epoch(spec, global_params, train, batches, ctx.lr)
         rows[cid] = new_params
         losses.append(loss)
-    benign = np.stack([rows[int(c)] for c in ctx.selected
-                       if int(c) not in ctx.malicious])
-    gamma = deviation = None
-    if active:
-        rule = round_rule(defense, ctx.m_round)
-        vec, gamma, deviation = craft_round_update(attack, benign, ctx.m_round, rule)
-        if vec.shape != global_params.shape:
-            raise nn.ShapeError("crafted update does not match the parameter space")
-        for cid in ctx.selected:
-            if int(cid) in ctx.malicious:
-                rows[int(cid)] = vec
-    matrix = np.stack([rows[int(c)] for c in ctx.selected])
-    new_global = aggregate(round_rule(defense, ctx.m_round), matrix)
-    info = RoundInfo(matrix, benign, new_global,
-                     float(np.mean(losses)) if losses else 0.0, gamma, deviation)
-    return new_global, info
+    return _aggregate_round(ctx, rows, global_params, losses, attack, defense)
 
 
 def run_splitfed_round(ctx: RoundContext, model: split.SplitModel,
@@ -155,8 +175,6 @@ def run_splitfed_round(ctx: RoundContext, model: split.SplitModel,
     """One splitfed round. The server portion inside `model` is updated in
     place across clients (lowest id first); client portions are aggregated.
     Returns (new client globals, RoundInfo)."""
-    active = attack.kind != "none" and ctx.round_no >= attack.start_round \
-        and ctx.m_round > 0
     rows = {}
     losses = []
     for cid in ctx.selected:
@@ -168,22 +186,7 @@ def run_splitfed_round(ctx: RoundContext, model: split.SplitModel,
             y = train.labels[batch_idx]
             losses.append(split.split_train_step(model, x, y, ctx.lr))
         rows[cid] = model.client_params
-    benign = np.stack([rows[int(c)] for c in ctx.selected
-                       if int(c) not in ctx.malicious])
-    gamma = deviation = None
-    if active:
-        rule = round_rule(defense, ctx.m_round)
-        vec, gamma, deviation = craft_round_update(attack, benign, ctx.m_round, rule)
-        if vec.shape != client_global.shape:
-            raise nn.ShapeError("crafted update does not match the client parameter space")
-        for cid in ctx.selected:
-            if int(cid) in ctx.malicious:
-                rows[int(cid)] = vec
-    matrix = np.stack([rows[int(c)] for c in ctx.selected])
-    new_client = aggregate(round_rule(defense, ctx.m_round), matrix)
-    info = RoundInfo(matrix, benign, new_client,
-                     float(np.mean(losses)) if losses else 0.0, gamma, deviation)
-    return new_client, info
+    return _aggregate_round(ctx, rows, client_global, losses, attack, defense)
 
 
 def evaluate(spec: nn.ModelSpec, params: np.ndarray, test: Dataset) -> float:

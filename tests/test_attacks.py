@@ -1,7 +1,8 @@
 """Update-poisoning attacks: crafted-vector arithmetic, the deviation
 objective, the halving search for the scale factor gamma against each
-aggregation rule (checked against a dense grid oracle), and the mean-shift
-baseline."""
+aggregation rule (checked against a dense grid oracle, and bit for bit
+against the search that sorts the stacked rows at every gamma), and the
+mean-shift baseline."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ import pytest
 from splitfedsim.aggregation import AggregationRule, aggregate, fed_avg
 from splitfedsim.attacks import (
     AttackSpec,
+    GammaSearchResult,
+    _CraftedStack,
+    _deviation,
     agr_deviation,
     benign_mean,
     craft_malicious,
@@ -235,6 +239,141 @@ def test_fedavg_deviation_closed_form():
         expect = (m / (n_benign + m)) * gamma * np.linalg.norm(gp)
         got = agr_deviation(benign, m, "std", gamma, rule)
         assert got == pytest.approx(expect, rel=1e-9)
+
+
+# ---------------------------------------------------------------- sort-once search
+
+
+def _awkward_rows(rng, n, d):
+    """Benign rows whose columns hold ties, repeats, signed zeros, infinities
+    and NaNs next to ordinary values. Column 0 is constant, 1 has heavy ties,
+    2 is all signed zeros, 3 is finite; the rest get scattered specials."""
+    u = rng.normal(size=(n, d))
+    u[:, 0] = 0.5
+    u[:, 1] = rng.integers(-2, 3, size=n)
+    u[:, 2] = rng.choice([0.0, -0.0], size=n)
+    specials = np.array([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan])
+    mask = rng.random((n, d)) < 0.2
+    mask[:, :4] = False
+    u[mask] = rng.choice(specials, size=int(mask.sum()))
+    return u
+
+
+def _awkward_crafted(rng, benign):
+    """Crafted rows that tie with benign values, sit on signed zeros and
+    infinities, are NaN, or fall anywhere in between."""
+    n, d = benign.shape
+    picks = benign[rng.integers(0, n, size=d), np.arange(d)]
+    specials = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=d)
+    return [picks, specials, rng.normal(size=d) * 2.0,
+            np.where(rng.random(d) < 0.5, picks, specials)]
+
+
+def _rules(total, m):
+    yield AggregationRule("fedavg")
+    yield AggregationRule("median")
+    for trim in sorted({0, min(m, (total - 1) // 2), (total - 1) // 2}):
+        yield AggregationRule("trmean", trim_count=trim)
+
+
+def _same_float(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+def test_crafted_stack_matches_sorting_the_stack():
+    rng = np.random.default_rng(11)
+    with np.errstate(invalid="ignore"):
+        for n in range(1, 9):
+            for m in range(1, n + 1):
+                benign = _awkward_rows(rng, n, 14)
+                srt = np.sort(benign, axis=0)
+                gb = benign_mean(benign)
+                for crafted in _awkward_crafted(rng, benign):
+                    stacked = np.vstack([benign, np.tile(crafted, (m, 1))])
+                    for rule in _rules(n + m, m):
+                        got = _CraftedStack(srt, m, rule).aggregate(crafted)
+                        want = aggregate(rule, stacked)
+                        np.testing.assert_array_equal(got, want)
+                        assert _same_float(float(np.linalg.norm(gb - got)),
+                                           float(np.linalg.norm(gb - want)))
+
+
+def test_crafted_stack_deviation_equals_agr_deviation():
+    rng = np.random.default_rng(12)
+    with np.errstate(invalid="ignore"):
+        for n in range(1, 9):
+            for m in range(1, n + 1):
+                for benign in (rng.normal(size=(n, 6)), _awkward_rows(rng, n, 6)):
+                    gb = benign_mean(benign)
+                    gp = perturbation_vector("std", benign)
+                    srt = np.sort(benign, axis=0)
+                    for rule in _rules(n + m, m):
+                        stack = _CraftedStack(srt, m, rule)
+                        for gamma in (0.0, 0.3, 1.0, float(rng.uniform(0, 20))):
+                            got = float(np.linalg.norm(gb - stack.aggregate(gb + gamma * gp)))
+                            assert _same_float(got, agr_deviation(benign, m, "std", gamma, rule))
+
+
+def test_crafted_stack_rejects_overtrimmed_stack():
+    with pytest.raises(ValueError, match="trimmed mean needs"):
+        _CraftedStack(np.zeros((2, 3)), 1, AggregationRule("trmean", trim_count=2))
+    with pytest.raises(ValueError, match="trimmed mean needs"):
+        gamma_search(np.zeros((2, 3)), 1, "std", AggregationRule("trmean", trim_count=2))
+
+
+def _gamma_search_by_sorting(benign, m, perturb, rule, gamma_init=10.0, tau=1e-5):
+    """The halving search with every deviation taken by stacking the rows and
+    sorting them through aggregate: the reference gamma_search must match."""
+    benign = np.asarray(benign, dtype=float)
+    gb = benign_mean(benign)
+    gp = perturbation_vector(perturb, benign)
+    gamma = gamma_init
+    step = gamma_init / 2.0
+    best = 0.0
+    top_gamma = None
+    top_dev = 0.0
+    evals = 0
+    while step >= tau:
+        dev = _deviation(benign, gb, gp, m, gamma, rule)
+        evals += 1
+        if dev >= (1.0 - 1e-6) * best:
+            if top_gamma is None or gamma > top_gamma:
+                top_gamma, top_dev = gamma, dev
+            gamma += step
+        else:
+            gamma -= step
+        best = max(best, dev)
+        step /= 2.0
+    return GammaSearchResult(top_gamma, top_dev, evals)
+
+
+def test_gamma_search_identical_to_sorting_search():
+    rng = np.random.default_rng(13)
+    with np.errstate(invalid="ignore"):
+        for n in range(1, 9):
+            for m in range(1, n + 1):
+                instances = (rng.normal(size=(n, 5)), _awkward_rows(rng, n, 5),
+                             np.round(rng.normal(size=(n, 5)), 1))
+                for benign in instances:
+                    for perturb in ("std", "unit", "sign"):
+                        for rule in _rules(n + m, m):
+                            want = _gamma_search_by_sorting(benign, m, perturb, rule)
+                            got = gamma_search(benign, m, perturb, rule)
+                            assert got == want
+                            assert got.evaluations == 19
+
+
+def test_craft_round_update_matches_sorting_search():
+    rng = np.random.default_rng(14)
+    benign = rng.normal(size=(16, 40))
+    spec = AttackSpec(kind="agropt", perturb="std")
+    for rule in (AggregationRule("median"), AggregationRule("trmean", trim_count=4),
+                 AggregationRule("fedavg")):
+        vec, gamma, dev = craft_round_update(spec, benign, 4, deployed_rule=rule)
+        want = _gamma_search_by_sorting(benign, 4, "std", rule)
+        assert (gamma, dev) == (want.gamma, want.deviation)
+        np.testing.assert_array_equal(vec, craft_malicious(
+            benign_mean(benign), perturbation_vector("std", benign), gamma))
 
 
 # ---------------------------------------------------------------- mean-shift baseline

@@ -49,6 +49,17 @@ def test_train_writes_row(tmp_path):
     assert 0.0 <= rows[0].acc <= 100.0
 
 
+@pytest.mark.parametrize("attack", ["none", "lie", "agropt"])
+def test_train_survives_all_malicious_rounds(tmp_path, attack):
+    # at seed 42, round 22 selects two of the four malicious clients and no one else
+    out = tmp_path / "train.csv"
+    code = main(["train", "--set", "mode=fl", "--set", "clients_per_round=2",
+                 "--set", "defense=median", "--set", "rounds=40",
+                 "--set", f"attack={attack}", "--out", str(out)])
+    assert code == 0
+    assert len(read_results(str(out))) == 1
+
+
 def test_train_with_config_file(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

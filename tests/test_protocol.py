@@ -228,6 +228,32 @@ def test_fl_round_malicious_rows_replaced_when_active():
     np.testing.assert_array_equal(info.rows[0], lie_update(info.benign_rows, 1.0))
 
 
+def test_fl_round_all_malicious_active_keeps_global():
+    spec = mlp_spec()
+    ds = _toy_data(n=40, seed=6)
+    part = partition_iid(ds, 4, seed=2)
+    params = nn.init_params(spec, 6)
+    ctx = RoundContext(3, np.array([1, 2]), frozenset({1, 2}), lr=0.05)
+    for attack in (AttackSpec(kind="agropt"), AttackSpec(kind="lie")):
+        new_global, info = run_fl_round(ctx, spec, params, ds, part, 16, 0, attack, "median")
+        np.testing.assert_array_equal(new_global, params)
+        assert info.gamma is None and info.deviation is None
+        assert info.rows.shape == (0, params.size)
+
+
+def test_fl_round_all_malicious_inactive_trains_honestly():
+    spec = mlp_spec()
+    ds = _toy_data(n=40, seed=6)
+    part = partition_iid(ds, 4, seed=2)
+    params = nn.init_params(spec, 6)
+    ctx = RoundContext(3, np.array([1, 2]), frozenset({1, 2}), lr=0.05)
+    for attack in (_no_attack(), AttackSpec(kind="agropt", start_round=5)):
+        new_global, info = run_fl_round(ctx, spec, params, ds, part, 16, 0, attack, "median")
+        assert info.rows.shape == (2, params.size)
+        assert info.benign_rows is None
+        np.testing.assert_array_equal(new_global, (info.rows[0] + info.rows[1]) / 2.0)
+
+
 # ---------------------------------------------------------------- splitfed rounds
 
 
@@ -287,6 +313,37 @@ def test_splitfed_malicious_training_still_feeds_server():
     run_splitfed_round(ctx2, model_clean, model_clean.client_params.copy(),
                        ds, part, 16, 5, _no_attack(), "median")
     np.testing.assert_array_equal(model_attacked.server_params, model_clean.server_params)
+
+
+def test_splitfed_round_all_malicious_active_keeps_client_global():
+    spec = mlp_spec()
+    ds = _toy_data(n=40, seed=10)
+    part = partition_iid(ds, 4, seed=4)
+    params = nn.init_params(spec, 10)
+    ctx = RoundContext(0, np.array([0, 3]), frozenset({0, 3}), lr=0.05)
+    for attack in (AttackSpec(kind="agropt"), AttackSpec(kind="lie")):
+        model = split.split_at(spec, params, split.CutPoint(4))
+        client_global = model.client_params.copy()
+        server_before = model.server_params.copy()
+        new_client, info = run_splitfed_round(ctx, model, client_global, ds, part,
+                                              16, 5, attack, "trmean")
+        np.testing.assert_array_equal(new_client, client_global)
+        assert info.gamma is None and info.deviation is None
+        # the malicious clients still ran the split protocol with the server
+        assert not np.array_equal(model.server_params, server_before)
+
+
+def test_splitfed_round_all_malicious_inactive_aggregates_honest_rows():
+    spec = mlp_spec()
+    ds = _toy_data(n=40, seed=10)
+    part = partition_iid(ds, 4, seed=4)
+    params = nn.init_params(spec, 10)
+    model = split.split_at(spec, params, split.CutPoint(4))
+    ctx = RoundContext(0, np.array([0, 3]), frozenset({0, 3}), lr=0.05)
+    new_client, info = run_splitfed_round(ctx, model, model.client_params.copy(), ds,
+                                          part, 16, 5, _no_attack(), "median")
+    assert info.rows.shape == (2, model.client_params.size)
+    np.testing.assert_array_equal(new_client, (info.rows[0] + info.rows[1]) / 2.0)
 
 
 # ---------------------------------------------------------------- train loop
