@@ -1,8 +1,8 @@
 """Deterministic desk-scale simulator of split and federated learning under
 model-poisoning attacks against robust aggregation."""
 
-from .aggregation import (AggregationRule, UpdateStats, aggregate,
-                          coordinate_median, fed_avg, trimmed_mean, update_stats)
+from .aggregation import (AggregationRule, aggregate, coordinate_median,
+                          fed_avg, trimmed_mean)
 from .attacks import (AttackSpec, GammaSearchResult, agr_deviation, benign_mean,
                       craft_malicious, gamma_search, lie_update,
                       perturbation_vector)

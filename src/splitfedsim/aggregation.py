@@ -5,6 +5,10 @@ All three rules sort each column first and reduce in ascending value order
 with a sequential accumulator. That makes every rule exactly permutation
 invariant (bitwise, not just mathematically) and makes trimmed_mean with
 trim_count 0 literally the same computation as fed_avg.
+
+Each rule is defined once, by rule_window (the sorted rows it reads) and
+reduce_window (how it reduces them). aggregate and the attacker's gamma
+search (attacks.gamma_search) both go through these two functions.
 """
 from __future__ import annotations
 
@@ -25,12 +29,6 @@ class AggregationRule:
             raise ValueError("trim_count must be non-negative")
 
 
-@dataclass(frozen=True)
-class UpdateStats:
-    mean: np.ndarray
-    std: np.ndarray  # population standard deviation
-
-
 def _check_matrix(updates: np.ndarray) -> np.ndarray:
     updates = np.asarray(updates, dtype=float)
     if updates.ndim != 2:
@@ -40,65 +38,51 @@ def _check_matrix(updates: np.ndarray) -> np.ndarray:
     return updates
 
 
-def _sorted_slice_mean(sorted_updates: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def rule_window(rule: AggregationRule, n: int) -> tuple[int, int]:
+    """The rows lo..hi-1 of the column-sorted n-row matrix that the rule
+    reads: all of them (fedavg), all but trim_count at each end (trmean), or
+    the middle one or two (median)."""
+    if rule.kind == "median":
+        return (n - 1) // 2, n // 2 + 1
+    trim = rule.trim_count if rule.kind == "trmean" else 0
+    if n <= 2 * trim:
+        raise ValueError(
+            f"trimmed mean needs n > 2 * trim_count, got n={n} trim_count={trim}")
+    return trim, n - trim
+
+
+def reduce_window(rule: AggregationRule, win: np.ndarray) -> np.ndarray:
+    """The rule's output from the rows of its window, in ascending order:
+    the middle value or the midpoint of the middle two (median), the mean
+    otherwise."""
+    if rule.kind == "median":
+        return win[0].copy() if len(win) == 1 else (win[0] + win[1]) / 2.0
     # sequential accumulation in ascending value order, per column
-    acc = sorted_updates[lo].copy()
-    for i in range(lo + 1, hi):
-        acc += sorted_updates[i]
-    return acc / (hi - lo)
+    acc = win[0].copy()
+    for row in win[1:]:
+        acc += row
+    return acc / len(win)
+
+
+def aggregate(rule: AggregationRule, updates: np.ndarray) -> np.ndarray:
+    """Apply a rule to the update matrix: sort every column, then reduce the
+    rows of the rule's window."""
+    updates = _check_matrix(updates)
+    lo, hi = rule_window(rule, updates.shape[0])
+    return reduce_window(rule, np.sort(updates, axis=0)[lo:hi])
 
 
 def fed_avg(updates: np.ndarray) -> np.ndarray:
     """Column-wise mean."""
-    updates = _check_matrix(updates)
-    srt = np.sort(updates, axis=0)
-    return _sorted_slice_mean(srt, 0, srt.shape[0])
+    return aggregate(AggregationRule("fedavg"), updates)
 
 
 def trimmed_mean(updates: np.ndarray, trim_count: int) -> np.ndarray:
     """Column-wise mean after dropping the trim_count largest and smallest
     values in each column. Needs more than 2 * trim_count rows."""
-    updates = _check_matrix(updates)
-    n = updates.shape[0]
-    if trim_count < 0:
-        raise ValueError("trim_count must be non-negative")
-    if n <= 2 * trim_count:
-        raise ValueError(
-            f"trimmed mean needs n > 2 * trim_count, got n={n} trim_count={trim_count}")
-    srt = np.sort(updates, axis=0)
-    return _sorted_slice_mean(srt, trim_count, n - trim_count)
+    return aggregate(AggregationRule("trmean", trim_count), updates)
 
 
 def coordinate_median(updates: np.ndarray) -> np.ndarray:
     """Column-wise median; even row counts take the midpoint of the middle two."""
-    updates = _check_matrix(updates)
-    n = updates.shape[0]
-    srt = np.sort(updates, axis=0)
-    if n % 2:
-        return srt[n // 2].copy()
-    return (srt[n // 2 - 1] + srt[n // 2]) / 2.0
-
-
-def _population_std(updates: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    # squared deviations accumulated in row order
-    centered = updates - mean
-    acc = centered[0] ** 2
-    for i in range(1, updates.shape[0]):
-        acc += centered[i] ** 2
-    return np.sqrt(acc / updates.shape[0])
-
-
-def update_stats(updates: np.ndarray) -> UpdateStats:
-    """Column-wise mean (same computation as fed_avg) and population std."""
-    updates = _check_matrix(updates)
-    mean = fed_avg(updates)
-    return UpdateStats(mean, _population_std(updates, mean))
-
-
-def aggregate(rule: AggregationRule, updates: np.ndarray) -> np.ndarray:
-    """Apply a rule to the update matrix."""
-    if rule.kind == "fedavg":
-        return fed_avg(updates)
-    if rule.kind == "trmean":
-        return trimmed_mean(updates, rule.trim_count)
-    return coordinate_median(updates)
+    return aggregate(AggregationRule("median"), updates)

@@ -11,11 +11,11 @@ Two families:
 
 The search never sorts the stacked rows. The m crafted rows are identical,
 so the benign columns are sorted once per search and each evaluation places
-the crafted value into that order and reduces only the positions the rule
-reads, with the same ascending accumulator as the aggregation rules. Every
-deviation, and so every gamma, is bit for bit the one that stacking the rows
-and calling aggregate gives; agr_deviation still takes that route and is the
-reference the tests hold the search to.
+the crafted value into that order. It reduces only the rows of the rule's
+window, with the same rule_window and reduce_window that aggregate uses.
+Every deviation, and so every gamma, is bit for bit the one that stacking the
+rows and calling aggregate gives; agr_deviation still takes that route and is
+the reference the tests hold the search to.
 
 All crafting reads only the benign rows it is given; nothing here inspects
 malicious clients' own data.
@@ -23,11 +23,12 @@ malicious clients' own data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .aggregation import (AggregationRule, _check_matrix, _population_std,
-                          _sorted_slice_mean, aggregate, fed_avg, update_stats)
+from .aggregation import (AggregationRule, _check_matrix, aggregate,
+                          reduce_window, rule_window)
 
 PERTURB_KINDS = ("std", "unit", "sign")
 
@@ -47,9 +48,8 @@ class AttackSpec:
     """What the malicious coalition does each round.
 
     kind "none" disables the attack. "lie" uses lie_update(z). "agropt" runs
-    the gamma search against target_rule, or against the deployed rule when
-    target_rule is None. start_round delays the attack; before it, malicious
-    clients behave honestly.
+    the gamma search against the deployed rule. start_round delays the
+    attack; before it, malicious clients behave honestly.
     """
     kind: str = "none"            # "none" | "lie" | "agropt"
     z: float = 1.5
@@ -57,7 +57,6 @@ class AttackSpec:
     gamma_init: float = 10.0
     tau: float = 1e-5
     start_round: int = 0
-    target_rule: AggregationRule | None = None
 
     def __post_init__(self):
         if self.kind not in ("none", "lie", "agropt"):
@@ -74,8 +73,8 @@ class AttackSpec:
 
 class BenignColumns:
     """The benign rows with every column sorted once, and what the attacker
-    derives from them: the benign mean (the sum fed_avg takes) and the
-    perturbation directions.
+    derives from them: the benign mean (the sum fed_avg takes), the
+    population standard deviation and the perturbation directions.
 
     gamma_search accepts one in place of the row matrix, so that a caller
     crafting the row afterwards reads the mean and direction of the same sort.
@@ -84,8 +83,18 @@ class BenignColumns:
     def __init__(self, benign: np.ndarray):
         self.rows = _check_matrix(benign)
         self.sorted = np.sort(self.rows, axis=0)
-        self.mean = _sorted_slice_mean(self.sorted, 0, self.rows.shape[0])
+        self.mean = reduce_window(AggregationRule("fedavg"), self.sorted)
         self._directions: dict[str, np.ndarray] = {}
+
+    @cached_property
+    def std(self) -> np.ndarray:
+        """Per-column population standard deviation, the squared deviations
+        accumulated in row order."""
+        centered = self.rows - self.mean
+        acc = centered[0] ** 2
+        for row in centered[1:]:
+            acc += row ** 2
+        return np.sqrt(acc / len(centered))
 
     def perturbation(self, kind: str) -> np.ndarray:
         """perturbation_vector(kind, rows), computed once per kind."""
@@ -95,7 +104,7 @@ class BenignColumns:
 
     def _direction(self, kind: str) -> np.ndarray:
         if kind == "std":
-            return -_population_std(self.rows, self.mean)
+            return -self.std
         if kind == "unit":
             norm = float(np.linalg.norm(self.mean))
             if norm == 0.0:
@@ -108,7 +117,7 @@ class BenignColumns:
 
 def benign_mean(benign: np.ndarray) -> np.ndarray:
     """Mean of the benign rows, the attacker's reference direction."""
-    return fed_avg(benign)
+    return BenignColumns(benign).mean
 
 
 def perturbation_vector(kind: str, benign: np.ndarray) -> np.ndarray:
@@ -166,16 +175,8 @@ class _CraftedStack:
 
     def __init__(self, sorted_benign: np.ndarray, m: int, rule: AggregationRule):
         n, d = sorted_benign.shape
-        total = n + m
-        self.median = rule.kind == "median"
-        if self.median:
-            lo, hi = (total - 1) // 2, total // 2 + 1
-        else:
-            trim = rule.trim_count if rule.kind == "trmean" else 0
-            if total <= 2 * trim:
-                raise ValueError(f"trimmed mean needs n > 2 * trim_count, "
-                                 f"got n={total} trim_count={trim}")
-            lo, hi = trim, total - trim
+        self.rule = rule
+        lo, hi = rule_window(rule, n + m)
         j = np.arange(lo, hi)
         self.below = np.full((hi - lo, d), np.nan)
         self.below[j < n] = sorted_benign[j[j < n]]
@@ -195,9 +196,7 @@ class _CraftedStack:
             inside[:, nan] = True
         win = np.where(inside, crafted, self.above)   # rows lo..hi-1 of the stack
         np.copyto(win, self.below, where=before)
-        if self.median:
-            return win[0] if len(win) == 1 else (win[0] + win[1]) / 2.0
-        return _sorted_slice_mean(win, 0, len(win))
+        return reduce_window(self.rule, win)
 
 
 def gamma_search(benign: np.ndarray | BenignColumns, m: int, perturb: str,
@@ -247,8 +246,8 @@ def gamma_search(benign: np.ndarray | BenignColumns, m: int, perturb: str,
 
 def lie_update(benign: np.ndarray, z: float) -> np.ndarray:
     """Benign mean shifted by z population standard deviations per dimension."""
-    stats = update_stats(benign)
-    return stats.mean + z * stats.std
+    cols = BenignColumns(benign)
+    return cols.mean + z * cols.std
 
 
 def craft_round_update(attack: AttackSpec, benign: np.ndarray, m: int,
@@ -256,14 +255,18 @@ def craft_round_update(attack: AttackSpec, benign: np.ndarray, m: int,
     """The malicious row all m colluding clients submit this round.
 
     Returns (vector, gamma, deviation); gamma and deviation are None for lie.
+    Raises FloatingPointError when every deviation of the gamma search is NaN,
+    which means the benign updates are no longer finite.
     """
     if attack.kind == "lie":
         return lie_update(benign, attack.z), None, None
     if attack.kind == "agropt":
-        rule = attack.target_rule if attack.target_rule is not None else deployed_rule
         cols = BenignColumns(benign)
-        res = gamma_search(cols, m, attack.perturb, rule,
+        res = gamma_search(cols, m, attack.perturb, deployed_rule,
                            attack.gamma_init, attack.tau)
+        if res.gamma is None:
+            raise FloatingPointError("every deviation of the gamma search is "
+                                     "NaN: the benign updates are not finite")
         gp = cols.perturbation(attack.perturb)
         return craft_malicious(cols.mean, gp, res.gamma), res.gamma, res.deviation
     raise ValueError(f"attack kind {attack.kind!r} crafts no update")

@@ -2,7 +2,8 @@
 
 Subcommands: train (one experiment), sweep (a grid with paired references),
 gradcheck (finite-difference validation), plot (CSV to SVG). Exit codes:
-0 success, 1 usage or configuration error, 2 runtime failure.
+0 success, 1 usage or configuration error, 2 runtime failure (a diverged run
+included). train runs the one-cell sweep of its config.
 """
 from __future__ import annotations
 
@@ -29,20 +30,21 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="splitfedsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="run one experiment")
-    p_train.add_argument("--config", help="key=value config file")
-    p_train.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                         help="override one config field")
-    p_train.add_argument("--out", default="results.csv", help="summary CSV path")
+    def run_parser(name, what, out):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("--config", help="key=value config file")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override one config field")
+        p.add_argument("--out", default=out, help="summary CSV path")
+        return p
 
-    p_sweep = sub.add_parser("sweep", help="run a grid of experiments")
-    p_sweep.add_argument("--config", help="key=value config file")
-    p_sweep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    run_parser("train", "run one experiment", "results.csv").set_defaults(
+        axis=[], jobs=1)
+    p_sweep = run_parser("sweep", "run a grid of experiments", "sweep.csv")
     p_sweep.add_argument("--axis", action="append", default=[],
                          metavar="NAME=V1,V2,...",
                          help=f"sweep axis, one of {sorted(SWEEP_AXES)}")
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--out", default="sweep.csv")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p_grad.add_argument("--count", type=int, default=24)
@@ -100,14 +102,7 @@ def main(argv: list[str] | None = None) -> int:
         print(e, file=sys.stderr)
         return 1
     try:
-        if args.command == "train":
-            cfg = _load_config(args)
-            result = run_sweep(cfg, {})
-            write_results(result, args.out)
-            _print_result(result)
-            print(f"wrote {args.out}")
-            return 0
-        if args.command == "sweep":
+        if args.command in ("train", "sweep"):
             cfg = _load_config(args)
             axes = _parse_axes(args.axis)
             result = run_sweep(cfg, axes, n_jobs=max(1, args.jobs))

@@ -86,10 +86,6 @@ def _cell_configs(base: ExperimentConfig, axes: dict[str, list]):
     return cells
 
 
-def _run_train(config: ExperimentConfig) -> list[RoundRecord]:
-    return train(config)
-
-
 def run_sweep(base: ExperimentConfig, axes: dict[str, list],
               n_jobs: int = 1) -> SweepResult:
     """Run every cell of the grid with its paired no-attack reference.
@@ -118,9 +114,9 @@ def run_sweep(base: ExperimentConfig, axes: dict[str, list],
     configs = [unique[k] for k in keys]
     if n_jobs > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            histories = list(pool.map(_run_train, configs))
+            histories = list(pool.map(train, configs))
     else:
-        histories = [_run_train(c) for c in configs]
+        histories = [train(c) for c in configs]
     by_key = dict(zip(keys, histories))
     rows = []
     for cfg, ref in pairs:

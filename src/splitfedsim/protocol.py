@@ -68,7 +68,6 @@ class RoundInfo:
     rows: np.ndarray              # submitted update matrix, selected-id order
     benign_rows: np.ndarray | None  # rows that fed the attacker's statistics;
                                     # None when the attack is not active
-    aggregated: np.ndarray
     loss: float
     gamma: float | None
     deviation: float | None
@@ -137,7 +136,7 @@ def _aggregate_round(ctx: RoundContext, rows: dict[int, np.ndarray],
         benign_ids = [int(c) for c in ctx.selected if int(c) not in ctx.malicious]
         if not benign_ids:
             nothing = np.empty((0, current.size))
-            return current, RoundInfo(nothing, nothing, current, loss, None, None)
+            return current, RoundInfo(nothing, nothing, loss, None, None)
         benign = np.stack([rows[cid] for cid in benign_ids])
         vec, gamma, deviation = craft_round_update(attack, benign, ctx.m_round, rule)
         if vec.shape != current.shape:
@@ -147,7 +146,7 @@ def _aggregate_round(ctx: RoundContext, rows: dict[int, np.ndarray],
                 rows[int(cid)] = vec
     matrix = np.stack([rows[int(c)] for c in ctx.selected])
     new = aggregate(rule, matrix)
-    return new, RoundInfo(matrix, benign, new, loss, gamma, deviation)
+    return new, RoundInfo(matrix, benign, loss, gamma, deviation)
 
 
 def run_fl_round(ctx: RoundContext, spec: nn.ModelSpec, global_params: np.ndarray,
@@ -225,7 +224,10 @@ def build_attack(config: "ExperimentConfig") -> AttackSpec:
 
 
 def train(config: "ExperimentConfig") -> list[RoundRecord]:
-    """Run a full experiment; one RoundRecord per evaluated round."""
+    """Run a full experiment; one RoundRecord per evaluated round.
+
+    Raises FloatingPointError naming the round after which the parameters
+    are no longer finite, so that a diverged run never reports accuracy."""
     config.validate()
     train_ds, test_ds = build_datasets(config)
     feat_dim = int(np.prod(train_ds.features.shape[1:]))
@@ -256,6 +258,9 @@ def train(config: "ExperimentConfig") -> list[RoundRecord]:
                 ctx, spec, params, train_ds, part,
                 config.batch_size, config.seed, attack, config.defense)
             current = params
+        if not np.isfinite(current).all():
+            raise FloatingPointError(
+                f"round {r}: the parameters are not finite; the run diverged")
         if (r + 1) % config.eval_every == 0 or r == config.rounds - 1:
             acc = evaluate(spec, current, test_ds)
             records.append(RoundRecord(r, acc, info.loss, info.gamma,

@@ -9,8 +9,8 @@ from splitfedsim.aggregation import (
     aggregate,
     coordinate_median,
     fed_avg,
+    rule_window,
     trimmed_mean,
-    update_stats,
 )
 
 
@@ -98,33 +98,22 @@ def test_median_is_per_dimension():
     np.testing.assert_array_equal(coordinate_median(u), [2.0, 20.0])
 
 
-# ---------------------------------------------------------------- update stats
+# ---------------------------------------------------------------- rule windows
 
 
-def test_update_stats_two_rows():
-    st = update_stats(_mat([0.0, 2.0], [2.0, 0.0]))
-    np.testing.assert_array_equal(st.mean, [1.0, 1.0])
-    np.testing.assert_array_equal(st.std, [1.0, 1.0])
-
-
-def test_update_stats_single_row_zero_std():
-    st = update_stats(_mat([7.0, -3.0]))
-    np.testing.assert_array_equal(st.mean, [7.0, -3.0])
-    np.testing.assert_array_equal(st.std, [0.0, 0.0])
-
-
-def test_update_stats_population_std():
-    st = update_stats(_mat([0.0], [1.0], [2.0]))
-    np.testing.assert_array_equal(st.mean, [1.0])
-    np.testing.assert_allclose(st.std, [np.sqrt(2.0 / 3.0)], rtol=1e-15)
-
-
-def test_update_stats_matches_numpy_population():
-    rng = np.random.default_rng(2)
-    u = rng.normal(size=(9, 6))
-    st = update_stats(u)
-    np.testing.assert_allclose(st.mean, u.mean(axis=0), rtol=1e-12)
-    np.testing.assert_allclose(st.std, u.std(axis=0), rtol=1e-9)
+@pytest.mark.parametrize("rule, n, window", [
+    (AggregationRule("fedavg"), 1, (0, 1)),
+    (AggregationRule("fedavg"), 6, (0, 6)),
+    (AggregationRule("trmean", trim_count=0), 4, (0, 4)),
+    (AggregationRule("trmean", trim_count=2), 5, (2, 3)),
+    (AggregationRule("trmean", trim_count=2), 7, (2, 5)),
+    (AggregationRule("median"), 1, (0, 1)),
+    (AggregationRule("median"), 2, (0, 2)),
+    (AggregationRule("median"), 5, (2, 3)),
+    (AggregationRule("median"), 6, (2, 4)),
+])
+def test_rule_window_rows(rule, n, window):
+    assert rule_window(rule, n) == window
 
 
 # ---------------------------------------------------------------- dispatch

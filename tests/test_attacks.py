@@ -10,6 +10,7 @@ import pytest
 from splitfedsim.aggregation import AggregationRule, aggregate, fed_avg
 from splitfedsim.attacks import (
     AttackSpec,
+    BenignColumns,
     GammaSearchResult,
     _CraftedStack,
     _deviation,
@@ -28,6 +29,32 @@ def _col(*vals):
 
 
 # ---------------------------------------------------------------- building blocks
+
+
+def test_benign_columns_two_rows():
+    cols = BenignColumns(np.array([[0.0, 2.0], [2.0, 0.0]]))
+    np.testing.assert_array_equal(cols.mean, [1.0, 1.0])
+    np.testing.assert_array_equal(cols.std, [1.0, 1.0])
+
+
+def test_benign_columns_single_row_zero_std():
+    cols = BenignColumns(np.array([[7.0, -3.0]]))
+    np.testing.assert_array_equal(cols.mean, [7.0, -3.0])
+    np.testing.assert_array_equal(cols.std, [0.0, 0.0])
+
+
+def test_benign_columns_population_std():
+    cols = BenignColumns(_col(0.0, 1.0, 2.0))
+    np.testing.assert_array_equal(cols.mean, [1.0])
+    np.testing.assert_allclose(cols.std, [np.sqrt(2.0 / 3.0)], rtol=1e-15)
+
+
+def test_benign_columns_match_numpy_population():
+    rng = np.random.default_rng(2)
+    u = rng.normal(size=(9, 6))
+    cols = BenignColumns(u)
+    np.testing.assert_allclose(cols.mean, u.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(cols.std, u.std(axis=0), rtol=1e-9)
 
 
 def test_benign_mean_two_rows():
@@ -439,17 +466,11 @@ def test_craft_round_update_agropt_targets_deployed_rule():
     )
 
 
-def test_craft_round_update_override_rule():
-    rng = np.random.default_rng(7)
-    benign = rng.normal(size=(6, 3))
-    tailored = AttackSpec(
-        kind="agropt", perturb="std", gamma_init=10.0, tau=1e-5,
-        target_rule=AggregationRule("trmean", trim_count=1),
-    )
-    _, gamma_override, _ = craft_round_update(
-        tailored, benign, 1, deployed_rule=AggregationRule("fedavg")
-    )
-    search = gamma_search(
-        benign, 1, "std", AggregationRule("trmean", trim_count=1), 10.0, 1e-5
-    )
-    assert gamma_override == search.gamma
+def test_craft_round_update_all_nan_deviations_raise():
+    # non-finite benign rows make every deviation NaN, so no gamma succeeds
+    benign = np.array([[np.nan, 1.0], [0.5, np.inf], [np.inf, -np.inf]])
+    spec = AttackSpec(kind="agropt", perturb="sign")
+    with np.errstate(invalid="ignore"):
+        assert gamma_search(benign, 1, "sign", AggregationRule("fedavg")).gamma is None
+        with pytest.raises(FloatingPointError, match="NaN"):
+            craft_round_update(spec, benign, 1, deployed_rule=AggregationRule("fedavg"))
