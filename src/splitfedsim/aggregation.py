@@ -16,14 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+RULE_KINDS = ("fedavg", "trmean", "median")
+
 
 @dataclass(frozen=True)
 class AggregationRule:
-    kind: str             # "fedavg" | "trmean" | "median"
+    kind: str             # one of RULE_KINDS
     trim_count: int = 0   # per-dimension rows dropped from each tail (trmean)
 
     def __post_init__(self):
-        if self.kind not in ("fedavg", "trmean", "median"):
+        if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown aggregation rule {self.kind!r}")
         if self.trim_count < 0:
             raise ValueError("trim_count must be non-negative")

@@ -30,6 +30,7 @@ import numpy as np
 from .aggregation import (AggregationRule, _check_matrix, aggregate,
                           reduce_window, rule_window)
 
+ATTACK_KINDS = ("none", "lie", "agropt")
 PERTURB_KINDS = ("std", "unit", "sign")
 
 # relative slack when comparing a new deviation against the best seen
@@ -51,15 +52,15 @@ class AttackSpec:
     the gamma search against the deployed rule. start_round delays the
     attack; before it, malicious clients behave honestly.
     """
-    kind: str = "none"            # "none" | "lie" | "agropt"
+    kind: str = "none"            # one of ATTACK_KINDS
     z: float = 1.5
-    perturb: str = "std"
+    perturb: str = "std"          # one of PERTURB_KINDS
     gamma_init: float = 10.0
     tau: float = 1e-5
     start_round: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("none", "lie", "agropt"):
+        if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if self.perturb not in PERTURB_KINDS:
             raise ValueError(f"unknown perturbation {self.perturb!r}")

@@ -2,16 +2,17 @@
 
 Subcommands: train (one experiment), sweep (a grid with paired references),
 gradcheck (finite-difference validation), plot (CSV to SVG). Exit codes:
-0 success, 1 usage or configuration error, 2 runtime failure (a diverged run
-included). train runs the one-cell sweep of its config.
+0 success; 1 usage error or ConfigError, which names the config field; 2 any
+other failure, a diverged run or an unreadable input file included. train
+runs the one-cell sweep of its config.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .config import ConfigError, ExperimentConfig, load_config
-from .experiments import (SWEEP_AXES, SweepResult, choose_sweep_axis,
+from .config import ConfigError, ExperimentConfig, load_config, parse_config_text
+from .experiments import (PLOT_AXES, SWEEP_AXES, SweepResult, choose_sweep_axis,
                           plot_drop_curve, read_results, run_sweep,
                           write_results)
 from .gradcheck import REL_TOL, run_gradient_checks
@@ -24,6 +25,13 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _build_parser() -> _Parser:
@@ -47,41 +55,30 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--jobs", type=int, default=1)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p_grad.add_argument("--count", type=int, default=24)
+    p_grad.add_argument("--count", type=positive_int, default=24)
     p_grad.add_argument("--seed", type=int, default=0)
 
     p_plot = sub.add_parser("plot", help="draw an accuracy-drop chart from a CSV")
     p_plot.add_argument("--in", dest="in_path", required=True)
     p_plot.add_argument("--out", dest="out_path", required=True)
-    p_plot.add_argument("--axis", choices=("cut", "frac", "defense"))
+    p_plot.add_argument("--axis", choices=tuple(PLOT_AXES))
     return parser
 
 
 def _load_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.set:
-        from .config import parse_config_text
-        cfg = parse_config_text("\n".join(args.set), cfg)
-    return cfg.validate()
+    return parse_config_text("\n".join(args.set), cfg).validate()
 
 
 def _parse_axes(pairs: list[str]) -> dict[str, list]:
+    """NAME=V1,V2,... pairs as text; run_sweep checks names and parses values."""
     axes: dict[str, list] = {}
     for raw in pairs:
-        if "=" not in raw:
-            raise ConfigError(f"axis {raw!r} is not NAME=V1,V2,...")
         name, _, values = raw.partition("=")
-        name = name.strip()
-        if name not in SWEEP_AXES:
-            raise ConfigError(f"unknown sweep axis {name!r}")
-        vals: list = [v.strip() for v in values.split(",") if v.strip()]
+        vals = [v.strip() for v in values.split(",") if v.strip()]
         if not vals:
-            raise ConfigError(f"axis {name!r} has no values")
-        if name == "frac":
-            vals = [float(v) for v in vals]
-        elif name == "seed":
-            vals = [int(v) for v in vals]
-        axes[name] = vals
+            raise ConfigError(f"axis {raw!r} is not NAME=V1,V2,...")
+        axes[name.strip()] = vals
     return axes
 
 
@@ -120,14 +117,11 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if all(r.passed for r in results) else 2
         if args.command == "plot":
             rows = read_results(args.in_path)
-            if not rows:
-                print("no rows to plot", file=sys.stderr)
-                return 2
             axis = args.axis or choose_sweep_axis(rows)
             plot_drop_curve(rows, axis, args.out_path)
             print(f"wrote {args.out_path}")
             return 0
-    except (ConfigError, ValueError) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001 - CLI boundary

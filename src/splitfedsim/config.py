@@ -6,6 +6,9 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .aggregation import RULE_KINDS
+from .attacks import ATTACK_KINDS, PERTURB_KINDS
+
 
 class ConfigError(ValueError):
     """A configuration field is missing, unknown, or out of range."""
@@ -16,7 +19,7 @@ def malicious_count(fraction: float, n: int) -> int:
     positive fraction compromises at least one client; the small epsilon
     keeps float products like 0.3 * 20 from ceiling to 7."""
     if not 0.0 <= fraction < 1.0:
-        raise ConfigError(f"malicious_fraction {fraction} outside [0, 1)")
+        raise ConfigError(f"malicious_fraction must be in [0, 1), got {fraction}")
     return int(math.ceil(fraction * n - 1e-9))
 
 
@@ -24,8 +27,8 @@ def malicious_count(fraction: float, n: int) -> int:
 class ExperimentConfig:
     seed: int = 42
     mode: str = "splitfed"          # "splitfed" | "fl"
-    model: str = "mlp"              # "mlp" | "cnn"
-    cut: str = "v2"                 # cut preset, splitfed only
+    model: str = "mlp"              # models.MODEL_NAMES
+    cut: str = "v2"                 # models.CUT_NAMES, splitfed only
     dataset: str = "blobs"          # "blobs" | "idx"
     blob_classes: int = 4
     blob_dims: int = 8
@@ -43,10 +46,10 @@ class ExperimentConfig:
     rounds: int = 200
     lr: float = 0.05
     batch_size: int = 32
-    defense: str = "fedavg"         # "fedavg" | "trmean" | "median"
-    attack: str = "none"            # "none" | "lie" | "agropt"
+    defense: str = "fedavg"         # aggregation.RULE_KINDS
+    attack: str = "none"            # attacks.ATTACK_KINDS
     lie_z: float = 1.5
-    agropt_perturb: str = "std"     # "std" | "unit" | "sign"
+    agropt_perturb: str = "std"     # attacks.PERTURB_KINDS
     agropt_gamma_init: float = 10.0
     agropt_tau: float = 1e-5
     attack_start_round: int = -1    # -1 = auto: 0 for iid, rounds // 4 for dirichlet
@@ -54,60 +57,49 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Raise ConfigError naming the offending field; return self if fine."""
+        # imported here: loading nn with config adds ~2 MB to fl_wide_agropt's peak RSS
+        from .models import CUT_NAMES, MODEL_NAMES, build_model
         def choice(field_name, allowed):
             v = getattr(self, field_name)
             if v not in allowed:
                 raise ConfigError(f"{field_name} must be one of {allowed}, got {v!r}")
 
-        def positive(field_name, strict=True):
-            v = getattr(self, field_name)
-            if (v <= 0) if strict else (v < 0):
-                raise ConfigError(f"{field_name} must be {'positive' if strict else 'non-negative'}, got {v}")
-
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         choice("mode", ("splitfed", "fl"))
-        choice("model", ("mlp", "cnn"))
-        choice("cut", ("v1", "v2", "v3"))
+        choice("model", MODEL_NAMES)
+        choice("cut", CUT_NAMES)
         choice("dataset", ("blobs", "idx"))
         choice("partition", ("iid", "dirichlet"))
-        choice("defense", ("fedavg", "trmean", "median"))
-        choice("attack", ("none", "lie", "agropt"))
-        choice("agropt_perturb", ("std", "unit", "sign"))
-        positive("dirichlet_alpha")
-        positive("blob_spread")
-        positive("lr")
-        positive("agropt_gamma_init")
-        positive("agropt_tau")
-        positive("rounds", strict=False)
-        for f in ("blob_classes", "blob_dims", "blob_per_class", "n_clients",
-                  "batch_size", "eval_every"):
-            if getattr(self, f) < 1:
-                raise ConfigError(f"{f} must be at least 1, got {getattr(self, f)}")
+        choice("defense", RULE_KINDS)
+        choice("attack", ATTACK_KINDS)
+        choice("agropt_perturb", PERTURB_KINDS)
+        for f in ("dirichlet_alpha", "blob_spread", "lr", "agropt_gamma_init",
+                  "agropt_tau"):
+            if not getattr(self, f) > 0:
+                raise ConfigError(f"{f} must be positive, got {getattr(self, f)}")
+        # gen_blobs needs two classes of two features and five samples each
+        for f, least in (("seed", 0), ("rounds", 0), ("attack_start_round", -1),
+                         ("blob_classes", 2), ("blob_dims", 2),
+                         ("blob_per_class", 5), ("n_clients", 1),
+                         ("batch_size", 1), ("eval_every", 1)):
+            if getattr(self, f) < least:
+                raise ConfigError(f"{f} must be at least {least}, got {getattr(self, f)}")
         if not 1 <= self.clients_per_round <= self.n_clients:
             raise ConfigError(
                 f"clients_per_round must be in [1, n_clients={self.n_clients}], "
                 f"got {self.clients_per_round}")
-        if not 0.0 <= self.malicious_fraction < 1.0:
-            raise ConfigError(
-                f"malicious_fraction must be in [0, 1), got {self.malicious_fraction}")
-        if self.attack_start_round < -1:
-            raise ConfigError(
-                f"attack_start_round must be -1 (auto) or non-negative, "
-                f"got {self.attack_start_round}")
+        # malicious_count owns the range of malicious_fraction
+        m_total = malicious_count(self.malicious_fraction, self.n_clients)
         if self.dataset == "idx":
             for f in ("idx_train_images", "idx_train_labels",
                       "idx_test_images", "idx_test_labels"):
                 if not getattr(self, f):
                     raise ConfigError(f"{f} is required when dataset = idx")
         if self.model == "cnn" and self.dataset == "blobs":
-            side = round(self.blob_dims ** 0.5)
-            if side * side != self.blob_dims or side % 4:
-                raise ConfigError(
-                    f"cnn on blobs needs blob_dims a square of a multiple of 4 "
-                    f"(e.g. 64), got {self.blob_dims}")
+            try:  # build_model owns the cnn's input geometry
+                build_model(self.model, self.blob_dims, self.blob_classes)
+            except ValueError as e:
+                raise ConfigError(f"blob_dims: {e}") from None
         if self.defense == "trmean":
-            m_total = malicious_count(self.malicious_fraction, self.n_clients)
             worst = min(m_total, self.clients_per_round)
             if self.clients_per_round <= 2 * worst:
                 raise ConfigError(
@@ -128,7 +120,7 @@ class ExperimentConfig:
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Parse `key = value` lines into a config. Unknown keys and uncoercible
-    values raise ConfigError naming the key."""
+    values raise ConfigError naming the key; validate() checks the result."""
     cfg = dataclasses.replace(base) if base is not None else ExperimentConfig()
     types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
     casts = {"int": int, "float": float, "str": str}
@@ -151,5 +143,6 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
 
 
 def load_config(path: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """parse_config_text of a file; validate() checks the result."""
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config_text(f.read(), base).validate()
+        return parse_config_text(f.read(), base)

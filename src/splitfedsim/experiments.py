@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, parse_config_text
 from .protocol import RoundRecord, train
 
 CSV_HEADER = "mode,model,cut,defense,attack,frac_malicious,seed,acc,acc_attack,acc_drop,gamma_last"
@@ -24,6 +24,13 @@ SWEEP_AXES = {
     "attack": "attack",
     "frac": "malicious_fraction",
     "seed": "seed",
+}
+
+# plot axis name -> the row value a chart groups by
+PLOT_AXES = {
+    "cut": lambda r: r.cut or "(fl)",
+    "frac": lambda r: r.frac_malicious,
+    "defense": lambda r: r.defense,
 }
 
 FINAL_WINDOW = 10  # evaluation points averaged into the final accuracy
@@ -74,7 +81,8 @@ class SweepResult:
 
 
 def _cell_configs(base: ExperimentConfig, axes: dict[str, list]):
-    """Expand axes into configs, deterministic product order."""
+    """Expand axes into configs, deterministic product order. Each value is set
+    as the config line `field = value`, as --set values are, so text works."""
     for name in axes:
         if name not in SWEEP_AXES:
             raise ConfigError(
@@ -82,7 +90,7 @@ def _cell_configs(base: ExperimentConfig, axes: dict[str, list]):
     cells = [base]
     for name, values in axes.items():
         field = SWEEP_AXES[name]
-        cells = [dataclasses.replace(c, **{field: v}) for c in cells for v in values]
+        cells = [parse_config_text(f"{field} = {v}", c) for c in cells for v in values]
     return cells
 
 
@@ -178,10 +186,8 @@ def read_results(path: str) -> list[SweepRow]:
 # plotting (plain SVG, no external dependencies)
 
 def choose_sweep_axis(rows: list[SweepRow]) -> str:
-    """First of cut/frac/defense that actually varies across the rows."""
-    for axis, get in (("cut", lambda r: r.cut),
-                      ("frac", lambda r: r.frac_malicious),
-                      ("defense", lambda r: r.defense)):
+    """First of the PLOT_AXES that actually varies across the rows."""
+    for axis, get in PLOT_AXES.items():
         if len({get(r) for r in rows}) > 1:
             return axis
     return "cut"
@@ -193,15 +199,11 @@ def plot_drop_curve(rows: list[SweepRow], axis: str, out_path: str,
     self-contained SVG line chart."""
     if not rows:
         raise ValueError("no rows to plot")
-    getters = {"cut": lambda r: r.cut or "(fl)",
-               "frac": lambda r: r.frac_malicious,
-               "defense": lambda r: r.defense}
-    if axis not in getters:
+    if axis not in PLOT_AXES:
         raise ValueError(f"unknown plot axis {axis!r}")
-    get = getters[axis]
     groups: dict[object, list[float]] = {}
     for r in rows:
-        groups.setdefault(get(r), []).append(r.acc_drop)
+        groups.setdefault(PLOT_AXES[axis](r), []).append(r.acc_drop)
     xs = sorted(groups)
     ys = [float(np.mean(groups[x])) for x in xs]
     w, h, ml, mr, mt, mb = 640, 420, 60, 20, 40, 50

@@ -1,6 +1,6 @@
 """Model presets used by the experiment runner and the demos.
 
-Both presets expose three cut presets v1/v2/v3, ordered so that the client
+Both presets expose the cut presets of CUT_NAMES, ordered so that the client
 portion grows: v1 leaves almost everything on the server, v3 keeps almost
 everything on the client.
 """
@@ -8,24 +8,28 @@ from __future__ import annotations
 
 from .nn import Conv2d, Dense, Flatten, MaxPool2d, ModelSpec, ReLU
 
+MODEL_NAMES = ("mlp", "cnn")
+CUT_NAMES = ("v1", "v2", "v3")
+
 
 def mlp_spec(in_dim: int = 8, hidden: tuple[int, ...] = (32, 32, 16),
              num_classes: int = 4) -> ModelSpec:
     """Fully connected net: in_dim -> 32 -> 32 -> 16 -> num_classes.
 
-    Cuts sit after each hidden ReLU: v1 after the first block, v2 after the
+    Cuts sit after the hidden ReLUs: v1 after the first block, v2 after the
     second, v3 after the third.
     """
     layers = []
-    cuts = {}
+    cut_at = []
     prev = in_dim
-    for i, width in enumerate(hidden):
+    for width in hidden:
         layers.append(Dense(prev, width))
         layers.append(ReLU())
-        cuts[f"v{i + 1}"] = len(layers)
+        cut_at.append(len(layers))
         prev = width
     layers.append(Dense(prev, num_classes))
-    return ModelSpec(tuple(layers), (in_dim,), num_classes, cuts)
+    return ModelSpec(tuple(layers), (in_dim,), num_classes,
+                     dict(zip(CUT_NAMES, cut_at)))
 
 
 def cnn_spec(input_shape: tuple[int, int, int] = (1, 8, 8),
@@ -48,8 +52,8 @@ def cnn_spec(input_shape: tuple[int, int, int] = (1, 8, 8),
         ReLU(),
         Dense(16, num_classes),
     )
-    cuts = {"v1": 3, "v2": 6, "v3": 9}
-    return ModelSpec(layers, input_shape, num_classes, cuts)
+    return ModelSpec(layers, input_shape, num_classes,
+                     dict(zip(CUT_NAMES, (3, 6, 9))))
 
 
 def build_model(name: str, in_dim: int, num_classes: int) -> ModelSpec:

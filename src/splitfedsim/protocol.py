@@ -138,7 +138,10 @@ def _aggregate_round(ctx: RoundContext, rows: dict[int, np.ndarray],
             nothing = np.empty((0, current.size))
             return current, RoundInfo(nothing, nothing, loss, None, None)
         benign = np.stack([rows[cid] for cid in benign_ids])
-        vec, gamma, deviation = craft_round_update(attack, benign, ctx.m_round, rule)
+        try:
+            vec, gamma, deviation = craft_round_update(attack, benign, ctx.m_round, rule)
+        except FloatingPointError as e:
+            raise FloatingPointError(f"round {ctx.round_no}: {e}") from e
         if vec.shape != current.shape:
             raise nn.ShapeError("crafted update does not match the aggregated parameters")
         for cid in ctx.selected:

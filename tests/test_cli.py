@@ -1,11 +1,18 @@
 """Command-line interface: subcommands, exit codes, config plumbing, and
 output files."""
 
+import re
+import shlex
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from splitfedsim.cli import main
+from splitfedsim.cli import _build_parser, main
 from splitfedsim.experiments import CSV_HEADER, read_results
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TINY = [
     "--set", "blob_per_class=50",
@@ -89,6 +96,37 @@ def test_validation_failure_exit_1(capsys):
     assert "defense" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["blob_classes=1", "blob_dims=1",
+                                     "blob_per_class=4"])
+def test_blob_sizes_below_gen_blobs_minimum_exit_1(tmp_path, capsys, setting):
+    assert main(["train", *TINY, "--set", setting,
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and setting.split("=")[0] in err
+
+
+def test_set_overrides_an_invalid_config_file_value(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("cut = v9\n")
+    out = tmp_path / "r.csv"
+    assert main(["train", "--config", str(cfg), *TINY, "--set", "rounds=1",
+                 "--set", "cut=v3", "--out", str(out)]) == 0
+    assert read_results(str(out))[0].cut == "v3"
+
+
+def test_malformed_idx_file_is_a_runtime_failure(tmp_path, capsys):
+    images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+    images.write_bytes(struct.pack(">IIII", 0x804, 1, 8, 8) + bytes(64))
+    labels.write_bytes(struct.pack(">II", 0x801, 1) + bytes(1))
+    assert main(["train", "--set", "dataset=idx",
+                 "--set", f"idx_train_images={images}",
+                 "--set", f"idx_train_labels={labels}",
+                 "--set", f"idx_test_images={images}",
+                 "--set", f"idx_test_labels={labels}",
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert "bad magic 0x00000804" in capsys.readouterr().err
+
+
 def test_missing_config_file_exit_2(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "ghost.cfg")]) == 2
 
@@ -109,6 +147,19 @@ def test_sweep_unknown_axis(capsys):
     assert "axis" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis,field", [("frac=abc", "malicious_fraction"),
+                                        ("seed=1,x", "seed")])
+def test_sweep_bad_axis_value_names_the_field(capsys, axis, field):
+    assert main(["sweep", *TINY, "--axis", axis]) == 1
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["frac", "cut=", "seed=,"])
+def test_sweep_axis_without_values(capsys, axis):
+    assert main(["sweep", *TINY, "--axis", axis]) == 1
+    assert "NAME=V1,V2" in capsys.readouterr().err
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     base = [
         "sweep", *TINY, "--set", "attack=lie", "--set", "rounds=2",
@@ -124,6 +175,23 @@ def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--count", "6"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out and "worst" in out
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gradcheck_count_below_one_is_usage_error(capsys, count):
+    assert main(["gradcheck", "--count", count]) == 1
+    assert "--count" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", README.read_text(),
+                      re.S).group(1)
+    joined = block.replace("\\\n", " ")   # backslash continuations
+    lines = [ln for ln in joined.splitlines() if ln.startswith("splitfedsim ")]
+    assert len(lines) >= 5
+    parser = _build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_plot_from_csv(tmp_path):

@@ -2,9 +2,14 @@
 format, and derived quantities (malicious head-count, attack start round)."""
 
 import dataclasses
+import math
+import re
+from pathlib import Path
 
 import pytest
 
+from splitfedsim.aggregation import RULE_KINDS
+from splitfedsim.attacks import ATTACK_KINDS, PERTURB_KINDS
 from splitfedsim.config import (
     ConfigError,
     ExperimentConfig,
@@ -12,6 +17,7 @@ from splitfedsim.config import (
     malicious_count,
     parse_config_text,
 )
+from splitfedsim.models import CUT_NAMES, MODEL_NAMES
 
 
 def test_defaults_are_the_desk_configuration():
@@ -70,12 +76,26 @@ def test_malicious_count_range():
         ("agropt_gamma_init", 0.0),
         ("agropt_tau", 0.0),
         ("eval_every", 0),
+        ("seed", -1),
+        ("attack_start_round", -2),
+        ("lr", math.nan),
+        ("blob_classes", 1),
+        ("blob_dims", 1),
+        ("blob_per_class", 4),
     ],
 )
 def test_validate_rejects_bad_field(field, value):
     cfg = dataclasses.replace(ExperimentConfig(), **{field: value})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=field):
         cfg.validate()
+
+
+@pytest.mark.parametrize("blob_dims", [60, 36])  # not a square; side 6 not a multiple of 4
+def test_validate_cnn_on_blobs_needs_pool_friendly_dims(blob_dims):
+    cfg = ExperimentConfig(model="cnn", blob_dims=blob_dims)
+    with pytest.raises(ConfigError, match="blob_dims"):
+        cfg.validate()
+    ExperimentConfig(model="cnn", blob_dims=64).validate()
 
 
 def test_validate_trimmed_mean_needs_majority():
@@ -150,3 +170,28 @@ def test_load_config(tmp_path):
     cfg = load_config(str(path))
     assert cfg.rounds == 4
     assert cfg.defense == "median"
+
+
+def test_load_config_leaves_validation_to_the_caller(tmp_path):
+    # a later override (--set, an axis) may still fix a field the file sets
+    path = tmp_path / "exp.cfg"
+    path.write_text("cut = v9\n")
+    cfg = load_config(str(path))
+    with pytest.raises(ConfigError, match="cut"):
+        cfg.validate()
+    parse_config_text("cut = v3", cfg).validate()
+
+
+def test_readme_config_example_validates_and_lists_the_allowed_values():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
+    parse_config_text(block).validate()
+    owners = {"model": MODEL_NAMES, "cut": CUT_NAMES, "defense": RULE_KINDS,
+              "attack": ATTACK_KINDS, "agropt_perturb": PERTURB_KINDS}
+    listed = {}
+    for line in block.splitlines():
+        key, _, rest = line.partition("=")
+        if key.strip() in owners:
+            alternatives = rest.split("#", 1)[1].split("(")[0]
+            listed[key.strip()] = tuple(v.strip() for v in alternatives.split("|"))
+    assert listed == owners

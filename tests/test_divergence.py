@@ -31,8 +31,9 @@ def test_train_names_the_round_the_parameters_diverged():
 
 
 def test_train_fails_when_every_gamma_deviation_is_nan():
-    with pytest.raises(FloatingPointError, match="gamma search"):
+    with pytest.raises(FloatingPointError, match="gamma search") as info:
         train(_config(GAMMA_ALL_NAN))
+    assert str(info.value).startswith("round 8: ")
 
 
 @pytest.mark.parametrize("settings", [LR_DIVERGES, GAMMA_ALL_NAN],

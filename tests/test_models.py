@@ -4,7 +4,8 @@ accounting per client/server half."""
 import numpy as np
 import pytest
 
-from splitfedsim.models import build_model, cnn_spec, mlp_spec
+from splitfedsim.config import ConfigError, ExperimentConfig
+from splitfedsim.models import CUT_NAMES, build_model, cnn_spec, mlp_spec
 from splitfedsim.nn import (
     Dense,
     ReLU,
@@ -78,6 +79,16 @@ def test_build_model_cnn_needs_square_pool_friendly_side():
         build_model("cnn", 60, 4)  # not a square
     with pytest.raises(ValueError):
         build_model("cnn", 36, 4)  # 6x6 side not divisible by 4
+
+
+@pytest.mark.parametrize("preset", [mlp_spec, cnn_spec])
+def test_presets_expose_exactly_the_cuts_config_accepts(preset):
+    names = list(preset().cut_presets)
+    assert names == list(CUT_NAMES)
+    for name in names:
+        ExperimentConfig(cut=name).validate()
+    with pytest.raises(ConfigError, match="cut"):
+        ExperimentConfig(cut="v4").validate()
 
 
 def test_custom_mlp_dimensions():
