@@ -58,6 +58,7 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Raise ConfigError naming the offending field; return self if fine."""
         # imported here: loading nn with config adds ~2 MB to fl_wide_agropt's peak RSS
+        from . import datasets
         from .models import CUT_NAMES, MODEL_NAMES, build_model
         def choice(field_name, allowed):
             v = getattr(self, field_name)
@@ -94,11 +95,29 @@ class ExperimentConfig:
                       "idx_test_images", "idx_test_labels"):
                 if not getattr(self, f):
                     raise ConfigError(f"{f} is required when dataset = idx")
-        if self.model == "cnn" and self.dataset == "blobs":
-            try:  # build_model owns the cnn's input geometry
-                build_model(self.model, self.blob_dims, self.blob_classes)
+            # the image headers only; a malformed file stays a runtime failure
+            with open(self.idx_train_images, "rb") as f:
+                n_train, rows, cols = datasets.idx_image_header(f)
+            with open(self.idx_test_images, "rb") as f:
+                n_test, test_rows, test_cols = datasets.idx_image_header(f)
+            if n_test == 0:
+                raise ConfigError("idx_test_images holds no images")
+            if (test_rows, test_cols) != (rows, cols):
+                raise ConfigError(
+                    f"idx_test_images holds {test_rows}x{test_cols} images, "
+                    f"but idx_train_images holds {rows}x{cols}")
+            in_dim, dim_field = rows * cols, "idx_train_images"
+        else:
+            n_train = self.blob_classes * datasets.blob_train_count(self.blob_per_class)
+            in_dim, dim_field = self.blob_dims, "blob_dims"
+        if self.n_clients > n_train:
+            raise ConfigError(f"n_clients must be at most the {n_train} training "
+                              f"samples, got {self.n_clients}")
+        if self.model == "cnn":
+            try:  # build_model owns the cnn's input geometry; any class count will do
+                build_model(self.model, in_dim, 2)
             except ValueError as e:
-                raise ConfigError(f"blob_dims: {e}") from None
+                raise ConfigError(f"{dim_field}: {e}") from None
         if self.defense == "trmean":
             worst = min(m_total, self.clients_per_round)
             if self.clients_per_round <= 2 * worst:

@@ -44,6 +44,11 @@ class Dataset:
         return self.features.shape[0]
 
 
+def blob_train_count(samples_per_class: int) -> int:
+    """Training samples per class of gen_blobs' 80/20 split."""
+    return int(0.8 * samples_per_class)
+
+
 def gen_blobs(seed: int, num_classes: int = 4, dims: int = 8,
               samples_per_class: int = 500, spread: float = 1.0):
     """Gaussian class clusters with centers on a fixed-radius hypersphere.
@@ -76,7 +81,7 @@ def gen_blobs(seed: int, num_classes: int = 4, dims: int = 8,
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     centers = CENTER_SCALE * directions
     train_x, train_y, test_x, test_y = [], [], [], []
-    n_train = int(0.8 * samples_per_class)
+    n_train = blob_train_count(samples_per_class)
     for c in range(num_classes):
         pts = centers[c] + spread * rng.standard_normal((samples_per_class, dims))
         train_x.append(pts[:n_train])
@@ -92,15 +97,22 @@ def gen_blobs(seed: int, num_classes: int = 4, dims: int = 8,
     return train, test
 
 
+def idx_image_header(f) -> tuple[int, int, int]:
+    """(count, rows, cols) from the 16-byte header of an IDX image file open
+    for binary reading; leaves f at the first pixel."""
+    header = f.read(16)
+    if len(header) < 16:
+        raise IdxFormatError(f"{f.name}: truncated header")
+    magic, count, rows, cols = struct.unpack(">IIII", header)
+    if magic != 0x00000803:
+        raise IdxFormatError(
+            f"{f.name}: bad magic 0x{magic:08x}, expected 0x00000803")
+    return count, rows, cols
+
+
 def _read_idx_images(path: str) -> np.ndarray:
     with open(path, "rb") as f:
-        header = f.read(16)
-        if len(header) < 16:
-            raise IdxFormatError(f"{path}: truncated header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != 0x00000803:
-            raise IdxFormatError(
-                f"{path}: bad magic 0x{magic:08x}, expected 0x00000803")
+        count, rows, cols = idx_image_header(f)
         body = f.read(count * rows * cols)
         if len(body) < count * rows * cols:
             raise IdxFormatError(

@@ -45,10 +45,7 @@ def near_kink(spec: nn.ModelSpec, params: np.ndarray, batch: np.ndarray) -> bool
             if np.any(np.abs(x) < _KINK_EPS):
                 return True
         elif isinstance(layer, nn.MaxPool2d):
-            w = layer.window
-            b, c, h, wd = x.shape
-            xr = x.reshape(b, c, h // w, w, wd // w, w).transpose(0, 1, 2, 4, 3, 5)
-            xr = xr.reshape(b, c, h // w, wd // w, w * w)
+            xr = layer.windows(x)
             if xr.shape[-1] > 1:
                 srt = np.sort(xr, axis=-1)
                 # ties only matter where the max routes a real gradient;

@@ -1,10 +1,12 @@
 """Small feedforward network engine on float64 numpy.
 
-Layers are declarative specs (Dense, Conv2d, MaxPool2d, ReLU, Flatten);
-parameters live in a single flat float64 vector so that federated code can
-treat a model as one array. Forward/backward are written so that running the
-layer chain in two pieces produces bit-identical results to running it whole:
-the split training engine reuses segment_forward/segment_backward directly.
+Each layer kind (Dense, Conv2d, MaxPool2d, ReLU, Flatten) is a frozen
+dataclass that defines its own shape rule, parameter shapes, initialization
+fans, forward and backward (see Layer). Parameters live in a single flat
+float64 vector so that federated code can treat a model as one array.
+Forward/backward are written so that running the layer chain in two pieces
+produces bit-identical results to running it whole: the split training
+engine reuses segment_forward/segment_backward directly.
 """
 from __future__ import annotations
 
@@ -23,74 +25,170 @@ class ShapeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# layer specs
+# layer kinds
+
+class Layer:
+    """Base of the layer kinds. Each kind defines, on its own class:
+
+    out_shape(in_shape): per-sample output shape, or BuildError if the input
+        does not fit;
+    param_shapes(): shapes of its tensors in the flat vector (default: none),
+        plus fans() -> (fan_in, fan_out) for kinds with a weight;
+    forward(tensors, x) -> (y, aux), aux being what backward needs;
+    backward(tensors, x, aux, dout) -> (parameter grads, gradient wrt x).
+    """
+
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        return []
+
 
 @dataclass(frozen=True)
-class Dense:
+class Dense(Layer):
     in_features: int
     out_features: int
 
+    def out_shape(self, in_shape):
+        if len(in_shape) != 1 or in_shape[0] != self.in_features:
+            raise BuildError(
+                f"Dense expects flat input of {self.in_features}, got {in_shape}")
+        return (self.out_features,)
+
+    def param_shapes(self):
+        return [(self.in_features, self.out_features), (self.out_features,)]
+
+    def fans(self):
+        return self.in_features, self.out_features
+
+    def forward(self, tensors, x):
+        w, b = tensors
+        return x @ w + b, None
+
+    def backward(self, tensors, x, aux, dout):
+        w, _ = tensors
+        return [x.T @ dout, dout.sum(axis=0)], dout @ w.T
+
 
 @dataclass(frozen=True)
-class Conv2d:
+class Conv2d(Layer):
     in_channels: int
     out_channels: int
     kernel: int
     stride: int = 1
     padding: int = 0
 
-
-@dataclass(frozen=True)
-class MaxPool2d:
-    window: int
-
-
-@dataclass(frozen=True)
-class ReLU:
-    pass
-
-
-@dataclass(frozen=True)
-class Flatten:
-    pass
-
-
-Layer = Dense | Conv2d | MaxPool2d | ReLU | Flatten
-
-
-def layer_output_shape(layer: Layer, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Per-sample output shape of one layer, or BuildError if incompatible."""
-    if isinstance(layer, Dense):
-        if len(in_shape) != 1 or in_shape[0] != layer.in_features:
+    def out_shape(self, in_shape):
+        if len(in_shape) != 3 or in_shape[0] != self.in_channels:
             raise BuildError(
-                f"Dense expects flat input of {layer.in_features}, got {in_shape}")
-        return (layer.out_features,)
-    if isinstance(layer, Conv2d):
-        if len(in_shape) != 3 or in_shape[0] != layer.in_channels:
-            raise BuildError(
-                f"Conv2d expects (C,H,W) input with C={layer.in_channels}, got {in_shape}")
+                f"Conv2d expects (C,H,W) input with C={self.in_channels}, got {in_shape}")
         _, h, w = in_shape
-        k, s, p = layer.kernel, layer.stride, layer.padding
+        k, s, p = self.kernel, self.stride, self.padding
         if k < 1 or s < 1 or p < 0:
             raise BuildError(f"Conv2d has invalid geometry k={k} s={s} p={p}")
         ho = (h + 2 * p - k) // s + 1
         wo = (w + 2 * p - k) // s + 1
         if h + 2 * p < k or w + 2 * p < k or ho < 1 or wo < 1:
             raise BuildError(f"Conv2d kernel {k} does not fit input {in_shape} with padding {p}")
-        return (layer.out_channels, ho, wo)
-    if isinstance(layer, MaxPool2d):
+        return (self.out_channels, ho, wo)
+
+    def param_shapes(self):
+        k = self.kernel
+        return [(self.out_channels, self.in_channels, k, k), (self.out_channels,)]
+
+    def fans(self):
+        k2 = self.kernel * self.kernel
+        return self.in_channels * k2, self.out_channels * k2
+
+    def forward(self, tensors, x):
+        """aux is the k*k sliding windows, gathered into (B, C, k, k, Ho, Wo)."""
+        w, b = tensors
+        k, s, p = self.kernel, self.stride, self.padding
+        if p:
+            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        bsz, c, h, wd = x.shape
+        ho = (h - k) // s + 1
+        wo = (wd - k) // s + 1
+        patches = np.empty((bsz, c, k, k, ho, wo))
+        for i in range(k):
+            for j in range(k):
+                patches[:, :, i, j] = x[:, :, i:i + (ho - 1) * s + 1:s, j:j + (wo - 1) * s + 1:s]
+        # (B,C,k,k,Ho,Wo) x (O,C,k,k) -> (B,Ho,Wo,O)
+        y = np.tensordot(patches, w, axes=([1, 2, 3], [1, 2, 3]))
+        return y.transpose(0, 3, 1, 2) + b[None, :, None, None], patches
+
+    def backward(self, tensors, x, aux, dout):
+        w, _ = tensors
+        # dout (B,O,Ho,Wo) x patches (B,C,k,k,Ho,Wo) -> (O,C,k,k)
+        dw = np.tensordot(dout, aux, axes=([0, 2, 3], [0, 4, 5]))
+        db = dout.sum(axis=(0, 2, 3))
+        # dout (B,O,Ho,Wo) x w (O,C,k,k) -> (B,Ho,Wo,C,k,k)
+        dpatches = np.tensordot(dout, w, axes=([1], [0]))
+        k, s, p = self.kernel, self.stride, self.padding
+        bsz, c, hin, win = x.shape
+        ho, wo = dout.shape[2], dout.shape[3]
+        dxp = np.zeros((bsz, c, hin + 2 * p, win + 2 * p))
+        for i in range(k):
+            for j in range(k):
+                dxp[:, :, i:i + (ho - 1) * s + 1:s, j:j + (wo - 1) * s + 1:s] += \
+                    dpatches[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+        return [dw, db], dxp[:, :, p:p + hin, p:p + win] if p else dxp
+
+
+@dataclass(frozen=True)
+class MaxPool2d(Layer):
+    window: int
+
+    def out_shape(self, in_shape):
         if len(in_shape) != 3:
             raise BuildError(f"MaxPool2d expects (C,H,W) input, got {in_shape}")
         c, h, w = in_shape
-        if layer.window < 1 or h % layer.window or w % layer.window:
+        if self.window < 1 or h % self.window or w % self.window:
             raise BuildError(
-                f"MaxPool2d window {layer.window} must divide spatial dims of {in_shape}")
-        return (c, h // layer.window, w // layer.window)
-    if isinstance(layer, ReLU):
+                f"MaxPool2d window {self.window} must divide spatial dims of {in_shape}")
+        return (c, h // self.window, w // self.window)
+
+    def windows(self, x):
+        """(B, C, H, W) -> (B, C, Ho, Wo, window**2), one pooling window per
+        row of the last axis in row-major order."""
+        n = self.window
+        b, c, h, w = x.shape
+        xr = x.reshape(b, c, h // n, n, w // n, n).transpose(0, 1, 2, 4, 3, 5)
+        return xr.reshape(b, c, h // n, w // n, n * n)
+
+    def forward(self, tensors, x):
+        xr = self.windows(x)
+        idx = xr.argmax(axis=-1)  # ties break to the first (row-major) element
+        return np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0], idx
+
+    def backward(self, tensors, x, aux, dout):
+        n = self.window
+        dxr = np.zeros(aux.shape + (n * n,))
+        np.put_along_axis(dxr, aux[..., None], dout[..., None], axis=-1)
+        dx = dxr.reshape(aux.shape + (n, n)).transpose(0, 1, 2, 4, 3, 5)
+        return [], dx.reshape(x.shape)
+
+
+@dataclass(frozen=True)
+class ReLU(Layer):
+    def out_shape(self, in_shape):
         return in_shape
-    if isinstance(layer, Flatten):
+
+    def forward(self, tensors, x):
+        return np.maximum(x, 0.0), None
+
+    def backward(self, tensors, x, aux, dout):
+        return [], dout * (x > 0)  # gradient at exactly 0 is 0
+
+
+@dataclass(frozen=True)
+class Flatten(Layer):
+    def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
-    raise BuildError(f"unknown layer type {type(layer).__name__}")
+
+    def forward(self, tensors, x):
+        return x.reshape(x.shape[0], -1), None
+
+    def backward(self, tensors, x, aux, dout):
+        return [], dout.reshape(x.shape)
 
 
 def infer_shapes(layers: tuple[Layer, ...], input_shape: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -98,7 +196,9 @@ def infer_shapes(layers: tuple[Layer, ...], input_shape: tuple[int, ...]) -> lis
     shapes = [tuple(input_shape)]
     for i, layer in enumerate(layers):
         try:
-            shapes.append(layer_output_shape(layer, shapes[-1]))
+            if not isinstance(layer, Layer):
+                raise BuildError(f"unknown layer type {type(layer).__name__}")
+            shapes.append(layer.out_shape(shapes[-1]))
         except BuildError as e:
             raise BuildError(f"layer {i} ({type(layer).__name__}): {e}") from None
     return shapes
@@ -141,17 +241,8 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 # flat parameter vector layout
 
-def layer_param_shapes(layer: Layer) -> list[tuple[int, ...]]:
-    if isinstance(layer, Dense):
-        return [(layer.in_features, layer.out_features), (layer.out_features,)]
-    if isinstance(layer, Conv2d):
-        return [(layer.out_channels, layer.in_channels, layer.kernel, layer.kernel),
-                (layer.out_channels,)]
-    return []
-
-
 def layer_param_count(layer: Layer) -> int:
-    return sum(int(np.prod(s)) for s in layer_param_shapes(layer))
+    return sum(int(np.prod(s)) for s in layer.param_shapes())
 
 
 def segment_param_count(layers: tuple[Layer, ...]) -> int:
@@ -171,7 +262,7 @@ def unflatten_segment(layers: tuple[Layer, ...], vec: np.ndarray) -> list[list[n
     off = 0
     for layer in layers:
         tensors = []
-        for shape in layer_param_shapes(layer):
+        for shape in layer.param_shapes():
             n = int(np.prod(shape))
             tensors.append(vec[off:off + n].reshape(shape))
             off += n
@@ -199,20 +290,13 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     parts = []
     for layer in spec.layers:
-        if isinstance(layer, Dense):
-            fan_in, fan_out = layer.in_features, layer.out_features
-            b = math.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-b, b, size=(fan_in, fan_out))
-            parts.append(w.ravel())
-            parts.append(np.zeros(fan_out))
-        elif isinstance(layer, Conv2d):
-            k = layer.kernel
-            fan_in = layer.in_channels * k * k
-            fan_out = layer.out_channels * k * k
-            b = math.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-b, b, size=(layer.out_channels, layer.in_channels, k, k))
-            parts.append(w.ravel())
-            parts.append(np.zeros(layer.out_channels))
+        shapes = layer.param_shapes()
+        if shapes:
+            w_shape, b_shape = shapes
+            fan_in, fan_out = layer.fans()
+            bound = math.sqrt(6.0 / (fan_in + fan_out))
+            parts.append(rng.uniform(-bound, bound, size=w_shape).ravel())
+            parts.append(np.zeros(b_shape))
     if not parts:
         return np.zeros(0)
     return np.concatenate(parts)
@@ -221,93 +305,6 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forward / backward over a layer segment
 
-def _conv_patches(layer: Conv2d, x: np.ndarray) -> np.ndarray:
-    """Gather k*k sliding windows into (B, C, k, k, Ho, Wo)."""
-    k, s, p = layer.kernel, layer.stride, layer.padding
-    if p:
-        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    b, c, h, w = x.shape
-    ho = (h - k) // s + 1
-    wo = (w - k) // s + 1
-    patches = np.empty((b, c, k, k, ho, wo))
-    for i in range(k):
-        for j in range(k):
-            patches[:, :, i, j] = x[:, :, i:i + (ho - 1) * s + 1:s, j:j + (wo - 1) * s + 1:s]
-    return patches
-
-
-def _layer_forward(layer: Layer, tensors: list[np.ndarray], x: np.ndarray):
-    """Returns (output, aux) where aux carries what backward needs."""
-    if isinstance(layer, Dense):
-        w, b = tensors
-        return x @ w + b, None
-    if isinstance(layer, Conv2d):
-        w, b = tensors
-        patches = _conv_patches(layer, x)
-        # (B,C,k,k,Ho,Wo) x (O,C,k,k) -> (B,Ho,Wo,O)
-        y = np.tensordot(patches, w, axes=([1, 2, 3], [1, 2, 3]))
-        y = y.transpose(0, 3, 1, 2) + b[None, :, None, None]
-        return y, patches
-    if isinstance(layer, MaxPool2d):
-        wlen = layer.window
-        b, c, h, w = x.shape
-        ho, wo = h // wlen, w // wlen
-        xr = x.reshape(b, c, ho, wlen, wo, wlen).transpose(0, 1, 2, 4, 3, 5)
-        xr = xr.reshape(b, c, ho, wo, wlen * wlen)
-        idx = xr.argmax(axis=-1)  # ties break to the first (row-major) element
-        y = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-        return y, idx
-    if isinstance(layer, ReLU):
-        return np.maximum(x, 0.0), None
-    if isinstance(layer, Flatten):
-        return x.reshape(x.shape[0], -1), None
-    raise BuildError(f"unknown layer type {type(layer).__name__}")
-
-
-def _layer_backward(layer: Layer, tensors: list[np.ndarray], x: np.ndarray,
-                    aux, dout: np.ndarray):
-    """Returns (grad tensors for this layer, gradient wrt the layer input)."""
-    if isinstance(layer, Dense):
-        w, _ = tensors
-        dw = x.T @ dout
-        db = dout.sum(axis=0)
-        dx = dout @ w.T
-        return [dw, db], dx
-    if isinstance(layer, Conv2d):
-        w, _ = tensors
-        patches = aux
-        # dout (B,O,Ho,Wo) x patches (B,C,k,k,Ho,Wo) -> (O,C,k,k)
-        dw = np.tensordot(dout, patches, axes=([0, 2, 3], [0, 4, 5]))
-        db = dout.sum(axis=(0, 2, 3))
-        # dout (B,O,Ho,Wo) x w (O,C,k,k) -> (B,Ho,Wo,C,k,k)
-        dpatches = np.tensordot(dout, w, axes=([1], [0]))
-        k, s, p = layer.kernel, layer.stride, layer.padding
-        bsz, _, hin, win = x.shape
-        ho, wo = dout.shape[2], dout.shape[3]
-        dxp = np.zeros((bsz, x.shape[1], hin + 2 * p, win + 2 * p))
-        for i in range(k):
-            for j in range(k):
-                dxp[:, :, i:i + (ho - 1) * s + 1:s, j:j + (wo - 1) * s + 1:s] += \
-                    dpatches[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        dx = dxp[:, :, p:p + hin, p:p + win] if p else dxp
-        return [dw, db], dx
-    if isinstance(layer, MaxPool2d):
-        idx = aux
-        wlen = layer.window
-        bsz, c, hin, win = x.shape
-        ho, wo = hin // wlen, win // wlen
-        dxr = np.zeros((bsz, c, ho, wo, wlen * wlen))
-        np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
-        dx = dxr.reshape(bsz, c, ho, wo, wlen, wlen).transpose(0, 1, 2, 4, 3, 5)
-        dx = dx.reshape(bsz, c, hin, win)
-        return [], dx
-    if isinstance(layer, ReLU):
-        return [], dout * (x > 0)  # gradient at exactly 0 is 0
-    if isinstance(layer, Flatten):
-        return [], dout.reshape(x.shape)
-    raise BuildError(f"unknown layer type {type(layer).__name__}")
-
-
 def segment_forward(layers: tuple[Layer, ...], tensors: list[list[np.ndarray]],
                     x: np.ndarray):
     """Run a contiguous run of layers. Returns (activations, aux) where
@@ -315,7 +312,7 @@ def segment_forward(layers: tuple[Layer, ...], tensors: list[list[np.ndarray]],
     acts = [x]
     aux: dict[int, object] = {}
     for i, layer in enumerate(layers):
-        x, a = _layer_forward(layer, tensors[i], x)
+        x, a = layer.forward(tensors[i], x)
         if a is not None:
             aux[i] = a
         acts.append(x)
@@ -327,7 +324,7 @@ def segment_backward(layers: tuple[Layer, ...], tensors: list[list[np.ndarray]],
     """Backward through a segment. Returns (grad tensors, gradient wrt input)."""
     grads: list[list[np.ndarray]] = [[] for _ in layers]
     for i in reversed(range(len(layers))):
-        grads[i], dout = _layer_backward(layers[i], tensors[i], acts[i], aux.get(i), dout)
+        grads[i], dout = layers[i].backward(tensors[i], acts[i], aux.get(i), dout)
     return grads, dout
 
 
@@ -348,12 +345,7 @@ class ForwardCache:
 
 def forward(spec: ModelSpec, params: np.ndarray, batch: np.ndarray) -> ForwardCache:
     """Full forward pass; batch is (B, *input_shape)."""
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim != len(spec.input_shape) + 1 or tuple(batch.shape[1:]) != spec.input_shape:
-        raise ShapeError(
-            f"batch shape {batch.shape} does not match input shape {spec.input_shape}")
-    if batch.shape[0] == 0:
-        raise ShapeError("empty batch")
+    batch = _check_batch(batch, spec.input_shape)
     tensors = unflatten_params(spec, params)
     acts, aux = segment_forward(spec.layers, tensors, batch)
     return ForwardCache(acts, aux)
@@ -371,6 +363,15 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     dlogits[rows, labels] -= 1.0
     dlogits /= n
     return loss, dlogits
+
+
+def _check_batch(batch: np.ndarray, input_shape: tuple[int, ...]) -> np.ndarray:
+    batch = np.asarray(batch, dtype=float)
+    if batch.ndim != len(input_shape) + 1 or tuple(batch.shape[1:]) != input_shape:
+        raise ShapeError(f"batch shape {batch.shape} does not match input shape {input_shape}")
+    if batch.shape[0] == 0:
+        raise ShapeError("empty batch")
+    return batch
 
 
 def _check_labels(labels: np.ndarray, num_classes: int, batch_size: int) -> np.ndarray:

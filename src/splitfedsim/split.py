@@ -80,13 +80,7 @@ def full_params(model: SplitModel) -> np.ndarray:
 def client_forward(model: SplitModel, batch: np.ndarray,
                    labels: np.ndarray) -> SmashedBatch:
     """Client half forward; returns the smashed batch sent to the server."""
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim != len(model.spec.input_shape) + 1 \
-            or tuple(batch.shape[1:]) != model.spec.input_shape:
-        raise nn.ShapeError(
-            f"batch shape {batch.shape} does not match input shape {model.spec.input_shape}")
-    if batch.shape[0] == 0:
-        raise nn.ShapeError("empty batch")
+    batch = nn._check_batch(batch, model.spec.input_shape)
     labels = np.asarray(labels)
     if labels.shape != (batch.shape[0],):
         raise nn.ShapeError(

@@ -1,10 +1,11 @@
 """Shared fixtures for the test suite.
 
-Two jobs live here:
+Three jobs live here:
 
 * a session-scoped cache of full training runs, so the end-to-end checks in
   test_acceptance.py can share the expensive desk-scale experiments instead of
-  re-running identical configurations, and
+  re-running identical configurations,
+* hand-written IDX files for the config and CLI checks of `dataset = idx`, and
 * a terminal-summary hook that prints one PASS/FAIL line per numbered
   end-to-end criterion (tests named ``test_cNN_*``), so the verdicts are
   readable without scrolling through the full pytest output.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import struct
 import time
 
 import pytest
@@ -68,6 +70,27 @@ def run_cache() -> RunCache:
 @pytest.fixture(scope="session")
 def session_clock():
     return session_elapsed
+
+
+@pytest.fixture
+def idx_fields(tmp_path):
+    """Factory: write an IDX image file (magic 0x803, all-zero pixels, or the
+    16-byte header alone when body is False) and a label file (magic 0x801,
+    labels alternating 0 and 1) for the train and the test split, each given
+    as (count, rows, cols); return the config fields that name them."""
+    def make(train, test, body=True):
+        fields = {"dataset": "idx"}
+        for split, (count, rows, cols) in (("train", train), ("test", test)):
+            images = tmp_path / f"{split}-images.idx"
+            labels = tmp_path / f"{split}-labels.idx"
+            images.write_bytes(struct.pack(">IIII", 0x803, count, rows, cols)
+                               + bytes(count * rows * cols if body else 0))
+            labels.write_bytes(struct.pack(">II", 0x801, count)
+                               + bytes(i % 2 for i in range(count)))
+            fields[f"idx_{split}_images"] = str(images)
+            fields[f"idx_{split}_labels"] = str(labels)
+        return fields
+    return make
 
 
 def pytest_runtest_logreport(report):

@@ -127,6 +127,34 @@ def test_malformed_idx_file_is_a_runtime_failure(tmp_path, capsys):
     assert "bad magic 0x00000804" in capsys.readouterr().err
 
 
+def _set_all(fields):
+    return [a for k, v in fields.items() for a in ("--set", f"{k}={v}")]
+
+
+def test_idx_dataset_trains(tmp_path, idx_fields):
+    out = tmp_path / "r.csv"
+    assert main(["train", *TINY, *_set_all(idx_fields((40, 8, 8), (10, 8, 8))),
+                 "--set", "model=cnn", "--set", "rounds=1",
+                 "--out", str(out)]) == 0
+    assert read_results(str(out))[0].model == "cnn"
+
+
+@pytest.mark.parametrize("train,test,setting,field", [
+    ((40, 6, 6), (10, 6, 6), "model=cnn", "idx_train_images"),  # side 6, not a multiple of 4
+    ((3, 8, 8), (10, 8, 8), "model=mlp", "n_clients"),          # 3 images, 20 clients
+    ((40, 6, 6), (10, 3, 3), "model=mlp", "idx_test_images"),   # 6x6 against 3x3
+    ((40, 8, 8), (0, 8, 8), "model=mlp", "idx_test_images"),    # no test images
+    (None, None, "blob_per_class=5", "n_clients"),   # 4 * 4 training samples, 20 clients
+])
+def test_config_the_data_cannot_serve_exit_1(tmp_path, capsys, idx_fields,
+                                             train, test, setting, field):
+    data = _set_all(idx_fields(train, test)) if train else []
+    assert main(["train", *TINY, *data, "--set", setting, "--set", "n_clients=20",
+                 "--set", "clients_per_round=4", "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 def test_missing_config_file_exit_2(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "ghost.cfg")]) == 2
 

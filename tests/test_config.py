@@ -113,6 +113,20 @@ def test_validate_idx_dataset_requires_paths():
         cfg.validate()
 
 
+def test_validate_n_clients_within_the_blob_training_set():
+    # two classes of five samples leave 2 * 4 = 8 for training
+    cfg = ExperimentConfig(blob_classes=2, blob_per_class=5, n_clients=8,
+                           clients_per_round=8)
+    cfg.validate()
+    with pytest.raises(ConfigError, match="n_clients .* 8 training samples, got 9"):
+        dataclasses.replace(cfg, n_clients=9).validate()
+
+
+def test_validate_idx_reads_only_the_image_headers(idx_fields):
+    fields = idx_fields((40, 8, 8), (10, 8, 8), body=False)
+    ExperimentConfig(model="cnn", **fields).validate()
+
+
 def test_resolved_attack_start():
     base = ExperimentConfig()
     iid = dataclasses.replace(base, partition="iid")

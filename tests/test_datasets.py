@@ -11,7 +11,9 @@ from splitfedsim.datasets import (
     Dataset,
     IdxFormatError,
     Partition,
+    blob_train_count,
     gen_blobs,
+    idx_image_header,
     load_idx,
     partition_dirichlet,
     partition_iid,
@@ -30,6 +32,13 @@ def test_gen_blobs_shapes_and_split():
     # per-class counts preserved by the 80/20 split
     assert np.bincount(train.labels, minlength=4).tolist() == [400] * 4
     assert np.bincount(test.labels, minlength=4).tolist() == [100] * 4
+
+
+@pytest.mark.parametrize("per_class", [5, 7, 500])
+def test_blob_train_count_is_the_gen_blobs_split(per_class):
+    train, test = gen_blobs(0, num_classes=3, samples_per_class=per_class)
+    assert len(train) == 3 * blob_train_count(per_class)
+    assert len(train) + len(test) == 3 * per_class
 
 
 def test_gen_blobs_deterministic():
@@ -102,6 +111,13 @@ def test_load_idx_well_formed(tmp_path):
     np.testing.assert_array_equal(ds.features[1], np.ones((1, 3, 2)))
     np.testing.assert_array_equal(ds.labels, [1, 0])
     assert ds.num_classes == 2
+
+
+def test_idx_image_header_stops_at_the_first_pixel(tmp_path):
+    img, _ = _write_idx_pair(tmp_path, list(range(6)), [0], rows=3, cols=2)
+    with open(img, "rb") as f:
+        assert idx_image_header(f) == (1, 3, 2)
+        assert f.read() == bytes(range(6))
 
 
 def test_load_idx_count_mismatch(tmp_path):

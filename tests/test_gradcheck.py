@@ -43,6 +43,19 @@ def test_near_kink_flags_relu_at_zero():
     assert not near_kink(spec, safe, np.ones((1, 2)))
 
 
+def test_near_kink_flags_a_tie_in_a_pooling_window():
+    spec = nn.ModelSpec(
+        layers=(nn.MaxPool2d(2), nn.Flatten(), nn.Dense(1, 2)),
+        input_shape=(1, 2, 2),
+        num_classes=2,
+    )
+    params = np.zeros(nn.param_count(spec))
+    assert near_kink(spec, params, np.array([[[[1.0, 0.0], [0.0, 1.0]]]]))
+    assert not near_kink(spec, params, np.array([[[[1.0, 0.0], [0.0, 0.5]]]]))
+    # an all-zero window stays flat under a nudge, so its tie does not count
+    assert not near_kink(spec, params, np.zeros((1, 1, 2, 2)))
+
+
 def test_make_instance_deterministic():
     a = make_instance(3, seed=5)
     b = make_instance(3, seed=5)

@@ -1,9 +1,12 @@
 """Network engine: layer arithmetic, initialization, backprop vs the
 finite-difference oracle, and the flat parameter-vector layout."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from splitfedsim.models import cnn_spec, mlp_spec
 from splitfedsim.nn import (
     BuildError,
     Conv2d,
@@ -57,6 +60,16 @@ def test_infer_shapes_dense_chain():
 def test_build_error_names_offending_layer():
     with pytest.raises(BuildError, match="layer 1"):
         ModelSpec(layers=(Dense(3, 5), Dense(4, 2)), input_shape=(3,), num_classes=2)
+
+
+@pytest.mark.parametrize("layers,bad", [
+    (("relu", Dense(3, 2)), "layer 0 (str): unknown layer type str"),
+    ((Dense(3, 5), object(), Dense(5, 2)), "layer 1 (object): unknown layer type object"),
+])
+def test_non_layer_in_stack_names_it(layers, bad):
+    with pytest.raises(BuildError) as err:
+        ModelSpec(layers=layers, input_shape=(3,), num_classes=2)
+    assert str(err.value) == bad
 
 
 def test_final_shape_must_match_num_classes():
@@ -272,6 +285,35 @@ def test_input_gradient_shape_matches_batch():
     cache = forward(spec, p, x)
     _, dx, _ = backward(spec, p, cache, np.array([0, 1, 2]))
     assert dx.shape == x.shape
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+# SHA-256 of init_params(spec, 42), of the flat gradient and of the input
+# gradient on a fixed batch of 32, as produced before each layer kind became
+# one class; on x86-64 with OpenBLAS (another BLAS may round matmuls apart)
+PRESET_DIGESTS = {
+    "mlp": ("0024f9b305605d828e7e1274f1688d1a2c971d2410dc7fbe570f03af362e6199",
+            "4ef442e099a739e1f2a7986a825c011aff8282954cb7fcc699bb1689ed798867",
+            "8d886bfdbcd2a81f32ec40f3da8908db6298f27467eddb171cce132f633de07f"),
+    "cnn": ("df08fd323ba751fe51bd7a8ba364e7e408547dd90f79e0722baeee00ae914318",
+            "f6f4e5366b6b310714838a3abeec2a616883fa9ff48ae6d8e148bac56760c07b",
+            "57a779ddc449daca5b2bcf909678b6bf629c5119d48617738a53cf53ef9ceda8"),
+}
+
+
+@pytest.mark.parametrize("name,build", [("mlp", mlp_spec), ("cnn", cnn_spec)])
+def test_preset_params_and_gradients_are_pinned(name, build):
+    spec = build()
+    p = init_params(spec, 42)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((32,) + spec.input_shape)
+    y = rng.integers(0, spec.num_classes, size=32)
+    g, dx, _ = backward(spec, p, forward(spec, p, x), y)
+    np.testing.assert_array_equal(grad(spec, p, x, y)[0], g)
+    assert (_sha256(p), _sha256(g), _sha256(dx)) == PRESET_DIGESTS[name]
 
 
 # ---------------------------------------------------------------- sgd
