@@ -4,6 +4,10 @@ Each layer kind (Dense, Conv2d, MaxPool2d, ReLU, Flatten) is a frozen
 dataclass that defines its own shape rule, parameter shapes, initialization
 fans, forward and backward (see Layer). Parameters live in a single flat
 float64 vector so that federated code can treat a model as one array.
+Where each tensor sits in that vector is a Layout, built once per layer
+tuple by segment_layout and cached; every parameter count and every view
+of a flat vector reads it. Backward writes each parameter gradient into its
+slice of one flat gradient vector, so no step concatenates tensors.
 Forward/backward are written so that running the layer chain in two pieces
 produces bit-identical results to running it whole: the split training
 engine reuses segment_forward/segment_backward directly.
@@ -11,6 +15,7 @@ engine reuses segment_forward/segment_backward directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -35,7 +40,8 @@ class Layer:
     param_shapes(): shapes of its tensors in the flat vector (default: none),
         plus fans() -> (fan_in, fan_out) for kinds with a weight;
     forward(tensors, x) -> (y, aux), aux being what backward needs;
-    backward(tensors, x, aux, dout) -> (parameter grads, gradient wrt x).
+    backward(tensors, x, aux, dout, grads) -> gradient wrt x, after writing
+        each parameter gradient into the matching array of grads.
     """
 
     def param_shapes(self) -> list[tuple[int, ...]]:
@@ -63,9 +69,12 @@ class Dense(Layer):
         w, b = tensors
         return x @ w + b, None
 
-    def backward(self, tensors, x, aux, dout):
+    def backward(self, tensors, x, aux, dout, grads):
         w, _ = tensors
-        return [x.T @ dout, dout.sum(axis=0)], dout @ w.T
+        gw, gb = grads
+        np.matmul(x.T, dout, out=gw)
+        dout.sum(axis=0, out=gb)
+        return dout @ w.T
 
 
 @dataclass(frozen=True)
@@ -115,11 +124,12 @@ class Conv2d(Layer):
         y = np.tensordot(patches, w, axes=([1, 2, 3], [1, 2, 3]))
         return y.transpose(0, 3, 1, 2) + b[None, :, None, None], patches
 
-    def backward(self, tensors, x, aux, dout):
+    def backward(self, tensors, x, aux, dout, grads):
         w, _ = tensors
+        gw, gb = grads
         # dout (B,O,Ho,Wo) x patches (B,C,k,k,Ho,Wo) -> (O,C,k,k)
-        dw = np.tensordot(dout, aux, axes=([0, 2, 3], [0, 4, 5]))
-        db = dout.sum(axis=(0, 2, 3))
+        gw[...] = np.tensordot(dout, aux, axes=([0, 2, 3], [0, 4, 5]))
+        gb[...] = dout.sum(axis=(0, 2, 3))
         # dout (B,O,Ho,Wo) x w (O,C,k,k) -> (B,Ho,Wo,C,k,k)
         dpatches = np.tensordot(dout, w, axes=([1], [0]))
         k, s, p = self.kernel, self.stride, self.padding
@@ -130,7 +140,7 @@ class Conv2d(Layer):
             for j in range(k):
                 dxp[:, :, i:i + (ho - 1) * s + 1:s, j:j + (wo - 1) * s + 1:s] += \
                     dpatches[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        return [dw, db], dxp[:, :, p:p + hin, p:p + win] if p else dxp
+        return dxp[:, :, p:p + hin, p:p + win] if p else dxp
 
 
 @dataclass(frozen=True)
@@ -159,12 +169,12 @@ class MaxPool2d(Layer):
         idx = xr.argmax(axis=-1)  # ties break to the first (row-major) element
         return np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0], idx
 
-    def backward(self, tensors, x, aux, dout):
+    def backward(self, tensors, x, aux, dout, grads):
         n = self.window
         dxr = np.zeros(aux.shape + (n * n,))
         np.put_along_axis(dxr, aux[..., None], dout[..., None], axis=-1)
         dx = dxr.reshape(aux.shape + (n, n)).transpose(0, 1, 2, 4, 3, 5)
-        return [], dx.reshape(x.shape)
+        return dx.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -175,20 +185,20 @@ class ReLU(Layer):
     def forward(self, tensors, x):
         return np.maximum(x, 0.0), None
 
-    def backward(self, tensors, x, aux, dout):
-        return [], dout * (x > 0)  # gradient at exactly 0 is 0
+    def backward(self, tensors, x, aux, dout, grads):
+        return dout * (x > 0)  # gradient at exactly 0 is 0
 
 
 @dataclass(frozen=True)
 class Flatten(Layer):
     def out_shape(self, in_shape):
-        return (int(np.prod(in_shape)),)
+        return (math.prod(in_shape),)
 
     def forward(self, tensors, x):
         return x.reshape(x.shape[0], -1), None
 
-    def backward(self, tensors, x, aux, dout):
-        return [], dout.reshape(x.shape)
+    def backward(self, tensors, x, aux, dout, grads):
+        return dout.reshape(x.shape)
 
 
 def infer_shapes(layers: tuple[Layer, ...], input_shape: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -229,10 +239,15 @@ class ModelSpec:
             if not 1 <= idx <= len(self.layers) - 1:
                 raise BuildError(f"cut preset {name!r}={idx} outside [1, {len(self.layers) - 1}]")
         self._shapes = shapes
+        self._layout = segment_layout(self.layers)
 
     @property
     def shapes(self) -> list[tuple[int, ...]]:
         return self._shapes
+
+    @property
+    def layout(self) -> Layout:
+        return self._layout
 
     def __len__(self) -> int:
         return len(self.layers)
@@ -241,33 +256,52 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 # flat parameter vector layout
 
-def layer_param_count(layer: Layer) -> int:
-    return sum(int(np.prod(s)) for s in layer.param_shapes())
+@dataclass(frozen=True)
+class Layout:
+    """Where a layer run's tensors sit in its flat parameter vector:
+    slots[i] holds (start, stop, shape) for each tensor of layer i."""
+    slots: tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]
+    size: int
+
+    def views(self, vec: np.ndarray) -> list[list[np.ndarray]]:
+        """Per-layer tensors as views of vec (no copies, no length check)."""
+        return [[vec[a:b].reshape(shape) for a, b, shape in layer]
+                for layer in self.slots]
 
 
-def segment_param_count(layers: tuple[Layer, ...]) -> int:
-    return sum(layer_param_count(l) for l in layers)
-
-
-def param_count(spec: ModelSpec) -> int:
-    return segment_param_count(spec.layers)
-
-
-def unflatten_segment(layers: tuple[Layer, ...], vec: np.ndarray) -> list[list[np.ndarray]]:
-    """Views of the flat vector as per-layer tensors (no copies)."""
-    need = segment_param_count(layers)
-    if vec.shape != (need,):
-        raise ShapeError(f"parameter vector has shape {vec.shape}, expected ({need},)")
-    out = []
+@functools.lru_cache(maxsize=None)
+def segment_layout(layers: tuple[Layer, ...]) -> Layout:
+    """The layout of a layer tuple, built once per distinct tuple."""
+    slots = []
     off = 0
     for layer in layers:
         tensors = []
         for shape in layer.param_shapes():
-            n = int(np.prod(shape))
-            tensors.append(vec[off:off + n].reshape(shape))
+            n = math.prod(shape)
+            tensors.append((off, off + n, tuple(shape)))
             off += n
-        out.append(tensors)
-    return out
+        slots.append(tuple(tensors))
+    return Layout(tuple(slots), off)
+
+
+def layer_param_count(layer: Layer) -> int:
+    return segment_layout((layer,)).size
+
+
+def segment_param_count(layers: tuple[Layer, ...]) -> int:
+    return segment_layout(tuple(layers)).size
+
+
+def param_count(spec: ModelSpec) -> int:
+    return spec.layout.size
+
+
+def unflatten_segment(layers: tuple[Layer, ...], vec: np.ndarray) -> list[list[np.ndarray]]:
+    """Views of the flat vector as per-layer tensors (no copies)."""
+    layout = segment_layout(tuple(layers))
+    if vec.shape != (layout.size,):
+        raise ShapeError(f"parameter vector has shape {vec.shape}, expected ({layout.size},)")
+    return layout.views(vec)
 
 
 def flatten_tensors(tensors: list[list[np.ndarray]]) -> np.ndarray:
@@ -320,11 +354,17 @@ def segment_forward(layers: tuple[Layer, ...], tensors: list[list[np.ndarray]],
 
 
 def segment_backward(layers: tuple[Layer, ...], tensors: list[list[np.ndarray]],
-                     acts: list[np.ndarray], aux: dict, dout: np.ndarray):
-    """Backward through a segment. Returns (grad tensors, gradient wrt input)."""
-    grads: list[list[np.ndarray]] = [[] for _ in layers]
+                     acts: list[np.ndarray], aux: dict, dout: np.ndarray,
+                     grads: list[list[np.ndarray]] | None = None):
+    """Backward through a segment. Returns (grad tensors, gradient wrt input).
+
+    The parameter gradients are written into grads, the segment's layout
+    views of one flat gradient vector; without it a fresh vector is used."""
+    if grads is None:
+        layout = segment_layout(tuple(layers))
+        grads = layout.views(np.empty(layout.size))
     for i in reversed(range(len(layers))):
-        grads[i], dout = layers[i].backward(tensors[i], acts[i], aux.get(i), dout)
+        dout = layers[i].backward(tensors[i], acts[i], aux.get(i), dout, grads[i])
     return grads, dout
 
 
@@ -390,10 +430,18 @@ def backward(spec: ModelSpec, params: np.ndarray, cache: ForwardCache,
              labels: np.ndarray):
     """Returns (flat gradient, gradient wrt the input batch, loss)."""
     labels = _check_labels(labels, spec.num_classes, cache.batch_size)
-    tensors = unflatten_params(spec, params)
+    return _backward(spec, unflatten_params(spec, params), cache, labels)
+
+
+def _backward(spec: ModelSpec, tensors: list[list[np.ndarray]],
+              cache: ForwardCache, labels: np.ndarray):
+    """backward from parameter views and checked labels; the gradient is a
+    fresh flat vector that each layer writes its slice of."""
     loss, dlogits = softmax_cross_entropy(cache.logits, labels)
-    grads, dx = segment_backward(spec.layers, tensors, cache.activations, cache.aux, dlogits)
-    return flatten_tensors(grads), dx, loss
+    g = np.empty(spec.layout.size)
+    _, dx = segment_backward(spec.layers, tensors, cache.activations, cache.aux,
+                             dlogits, spec.layout.views(g))
+    return g, dx, loss
 
 
 def loss_value(spec: ModelSpec, params: np.ndarray, batch: np.ndarray,
@@ -406,9 +454,12 @@ def loss_value(spec: ModelSpec, params: np.ndarray, batch: np.ndarray,
 
 def grad(spec: ModelSpec, params: np.ndarray, batch: np.ndarray,
          labels: np.ndarray):
-    """Convenience: forward + backward. Returns (flat gradient, loss)."""
-    cache = forward(spec, params, batch)
-    g, _, loss = backward(spec, params, cache, labels)
+    """forward + backward on one view of params. Returns (flat gradient, loss)."""
+    batch = _check_batch(batch, spec.input_shape)
+    tensors = unflatten_params(spec, params)
+    acts, aux = segment_forward(spec.layers, tensors, batch)
+    labels = _check_labels(labels, spec.num_classes, batch.shape[0])
+    g, _, loss = _backward(spec, tensors, ForwardCache(acts, aux), labels)
     return g, loss
 
 
@@ -428,11 +479,22 @@ def finite_diff_grad(spec: ModelSpec, params: np.ndarray, batch: np.ndarray,
     return g
 
 
-def sgd_step(params: np.ndarray, grad_vec: np.ndarray, lr: float) -> np.ndarray:
-    """One vanilla SGD step on the flat vector."""
+def _check_sgd(params: np.ndarray, grad_vec: np.ndarray, lr: float) -> None:
     if params.shape != grad_vec.shape:
         raise ShapeError(
             f"gradient shape {grad_vec.shape} does not match params {params.shape}")
     if lr <= 0:
         raise ValueError("learning rate must be positive")
+
+
+def sgd_step(params: np.ndarray, grad_vec: np.ndarray, lr: float) -> np.ndarray:
+    """One vanilla SGD step on the flat vector; returns a new vector."""
+    _check_sgd(params, grad_vec, lr)
     return params - lr * grad_vec
+
+
+def sgd_update(params: np.ndarray, grad_vec: np.ndarray, lr: float) -> None:
+    """sgd_step in place: params -= lr * grad_vec gives the same bits as
+    params - lr * grad_vec."""
+    _check_sgd(params, grad_vec, lr)
+    params -= lr * grad_vec

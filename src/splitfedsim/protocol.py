@@ -102,14 +102,15 @@ def round_rule(defense: str, m_round: int) -> AggregationRule:
 
 def local_epoch(spec: nn.ModelSpec, params: np.ndarray, train: Dataset,
                 batches: list[np.ndarray], lr: float):
-    """One epoch of mini-batch SGD from the given params. Returns the new
-    params and the mean batch loss."""
+    """One epoch of mini-batch SGD from a copy of the given params, updated in
+    place. Returns the new params and the mean batch loss."""
+    params = params.copy()
     losses = []
     for batch_idx in batches:
         x = train.features[batch_idx].reshape((-1,) + spec.input_shape)
         y = train.labels[batch_idx]
         g, loss = nn.grad(spec, params, x, y)
-        params = nn.sgd_step(params, g, lr)
+        nn.sgd_update(params, g, lr)
         losses.append(loss)
     return params, (float(np.mean(losses)) if losses else 0.0)
 

@@ -5,10 +5,15 @@ step moves one batch through client_forward -> server_step -> client_backward.
 Every per-layer float operation is the same code path as the unsplit model
 (segment_forward/segment_backward), so training a model split at any cut
 produces bit-identical parameters to training it whole.
+
+Each half keeps its parameter views across steps: they are rebuilt only when
+a new vector is assigned to client_params or server_params, which the round
+loop does once per client. Backward writes the gradient into a flat buffer
+the half owns, and SGD updates the parameter vector in place.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,21 +39,48 @@ class SmashedBatch:
         return self.activations.shape[0]
 
 
+class _Half:
+    """One half's layers, views of its current parameter vector, and a flat
+    gradient buffer whose fixed views every backward overwrites."""
+
+    def __init__(self, layers: tuple[nn.Layer, ...]):
+        self.layers = layers
+        layout = nn.segment_layout(layers)
+        self.grad = np.empty(layout.size)
+        self.grads = layout.views(self.grad)
+        self._vec = None
+        self._tensors = None
+
+    def tensors(self, vec: np.ndarray) -> list[list[np.ndarray]]:
+        """Views of vec, rebuilt (and length-checked) only for a new vector."""
+        if vec is not self._vec:
+            self._tensors = nn.unflatten_segment(self.layers, vec)
+            self._vec = vec
+        return self._tensors
+
+
 @dataclass
 class SplitModel:
-    """One model held as two flat parameter vectors."""
+    """One model held as two flat parameter vectors. Training updates them
+    in place; assign a new vector to start a half from other parameters."""
     spec: nn.ModelSpec
     cut: CutPoint
     client_params: np.ndarray
     server_params: np.ndarray
+    _client: _Half = field(init=False, repr=False, compare=False)
+    _server: _Half = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._client = _Half(self.spec.layers[:self.cut.layer_index])
+        self._server = _Half(self.spec.layers[self.cut.layer_index:])
 
     @property
     def client_layers(self) -> tuple[nn.Layer, ...]:
-        return self.spec.layers[:self.cut.layer_index]
+        return self._client.layers
 
     @property
     def server_layers(self) -> tuple[nn.Layer, ...]:
-        return self.spec.layers[self.cut.layer_index:]
+        return self._server.layers
 
     @property
     def cut_shape(self) -> tuple[int, ...]:
@@ -85,8 +117,8 @@ def client_forward(model: SplitModel, batch: np.ndarray,
     if labels.shape != (batch.shape[0],):
         raise nn.ShapeError(
             f"labels shape {labels.shape} does not match batch size {batch.shape[0]}")
-    tensors = nn.unflatten_segment(model.client_layers, model.client_params)
-    acts, aux = nn.segment_forward(model.client_layers, tensors, batch)
+    half = model._client
+    acts, aux = nn.segment_forward(half.layers, half.tensors(model.client_params), batch)
     return SmashedBatch(acts[-1], labels, acts, aux)
 
 
@@ -103,12 +135,13 @@ def server_step(model: SplitModel, smashed: SmashedBatch, lr: float):
         raise nn.ShapeError(
             f"smashed activations {smashed.activations.shape} do not match cut shape {expect}")
     labels = nn._check_labels(smashed.labels, model.spec.num_classes, smashed.batch_size)
-    tensors = nn.unflatten_segment(model.server_layers, model.server_params)
-    acts, aux = nn.segment_forward(model.server_layers, tensors, smashed.activations)
+    half = model._server
+    tensors = half.tensors(model.server_params)
+    acts, aux = nn.segment_forward(half.layers, tensors, smashed.activations)
     loss, dlogits = nn.softmax_cross_entropy(acts[-1], labels)
-    grads, cut_grad = nn.segment_backward(model.server_layers, tensors, acts, aux, dlogits)
+    _, cut_grad = nn.segment_backward(half.layers, tensors, acts, aux, dlogits, half.grads)
     if lr > 0:
-        model.server_params = model.server_params - lr * nn.flatten_tensors(grads)
+        model.server_params -= lr * half.grad
     return cut_grad, model.server_params, loss
 
 
@@ -121,11 +154,11 @@ def client_backward(model: SplitModel, smashed: SmashedBatch,
         raise nn.ShapeError(
             f"cut gradient shape {cut_grad.shape} does not match "
             f"activations {smashed.activations.shape}")
-    tensors = nn.unflatten_segment(model.client_layers, model.client_params)
-    grads, _ = nn.segment_backward(model.client_layers, tensors,
-                                   smashed.client_acts, smashed.client_aux, cut_grad)
+    half = model._client
+    nn.segment_backward(half.layers, half.tensors(model.client_params),
+                        smashed.client_acts, smashed.client_aux, cut_grad, half.grads)
     if lr > 0:
-        model.client_params = model.client_params - lr * nn.flatten_tensors(grads)
+        model.client_params -= lr * half.grad
     return model.client_params
 
 

@@ -2,6 +2,7 @@
 finite-difference oracle, and the flat parameter-vector layout."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -27,9 +28,12 @@ from splitfedsim.nn import (
     loss_value,
     param_count,
     segment_forward,
+    segment_param_count,
     sgd_step,
+    sgd_update,
     softmax_cross_entropy,
     unflatten_params,
+    unflatten_segment,
 )
 
 
@@ -129,6 +133,46 @@ def test_layer_param_count_conv():
     assert layer_param_count(Conv2d(3, 8, 3, 1, 1)) == 8 * 3 * 3 * 3 + 8
     assert layer_param_count(ReLU()) == 0
     assert layer_param_count(MaxPool2d(2)) == 0
+
+
+def _walk_slots(layers):
+    """(start, stop, shape) of every tensor, by a plain walk over
+    param_shapes(); the oracle for the cached layout."""
+    slots, off = [], 0
+    for layer in layers:
+        group = []
+        for shape in layer.param_shapes():
+            n = int(np.prod(shape))
+            group.append((off, off + n, tuple(shape)))
+            off += n
+        slots.append(group)
+    return slots, off
+
+
+@pytest.mark.parametrize("spec", [mlp_spec(), cnn_spec(), cnn_spec((1, 16, 16))],
+                         ids=["mlp", "cnn", "cnn16"])
+def test_layout_matches_walk_on_every_prefix_and_suffix(spec):
+    n = len(spec.layers)
+    for seg in [spec.layers[:k] for k in range(n + 1)] + \
+               [spec.layers[k:] for k in range(n + 1)]:
+        slots, size = _walk_slots(seg)
+        assert segment_param_count(seg) == size
+        vec = np.arange(size, dtype=float)
+        views = unflatten_segment(seg, vec)
+        assert [len(g) for g in views] == [len(g) for g in slots]
+        for group, expect in zip(views, slots):
+            for t, (a, b, shape) in zip(group, expect):
+                assert t.shape == shape
+                assert np.shares_memory(t, vec)
+                np.testing.assert_array_equal(t.ravel(), vec[a:b])
+        for bad in ([np.zeros(size + 1), np.zeros((1, size))]
+                    + ([np.zeros(size - 1)] if size else [])):
+            msg = f"parameter vector has shape {bad.shape}, expected ({size},)"
+            with pytest.raises(ShapeError, match=re.escape(msg)):
+                unflatten_segment(seg, bad)
+    assert param_count(spec) == _walk_slots(spec.layers)[1]
+    for layer in spec.layers:
+        assert layer_param_count(layer) == _walk_slots((layer,))[1]
 
 
 # ---------------------------------------------------------------- forward
@@ -316,6 +360,22 @@ def test_preset_params_and_gradients_are_pinned(name, build):
     assert (_sha256(p), _sha256(g), _sha256(dx)) == PRESET_DIGESTS[name]
 
 
+@pytest.mark.parametrize("build", [mlp_spec, cnn_spec], ids=["mlp", "cnn"])
+def test_successive_grads_do_not_share_memory(build):
+    spec = build()
+    rng = np.random.default_rng(5)
+    p = init_params(spec, 5)
+    x = rng.normal(size=(4,) + spec.input_shape)
+    y = rng.integers(0, spec.num_classes, size=4)
+    g1, _ = grad(spec, p, x, y)
+    kept = g1.copy()
+    g2, _ = grad(spec, p, x, y)
+    assert not np.shares_memory(g1, g2)
+    assert not np.shares_memory(g1, p)
+    np.testing.assert_array_equal(g1, kept)
+    np.testing.assert_array_equal(g2, kept)
+
+
 # ---------------------------------------------------------------- sgd
 
 
@@ -341,3 +401,17 @@ def test_sgd_rejects_mismatch_and_bad_lr():
         sgd_step(np.zeros(3), np.zeros(2), 0.1)
     with pytest.raises(ValueError):
         sgd_step(np.zeros(2), np.zeros(2), 0.0)
+
+
+def test_sgd_update_in_place_matches_sgd_step_bits():
+    rng = np.random.default_rng(0)
+    p = rng.normal(size=100)
+    g = rng.normal(size=100)
+    expect = sgd_step(p, g, 0.05)
+    q = p.copy()
+    sgd_update(q, g, 0.05)
+    np.testing.assert_array_equal(q, expect)
+    with pytest.raises(ShapeError):
+        sgd_update(q, np.zeros(3), 0.1)
+    with pytest.raises(ValueError):
+        sgd_update(q, g, 0.0)

@@ -111,6 +111,26 @@ def test_local_epoch_replays_sgd_exactly():
     np.testing.assert_array_equal(out, manual)
 
 
+def test_local_epoch_and_fl_round_leave_global_params_unchanged():
+    spec = mlp_spec()
+    ds = _toy_data(n=40, seed=2)
+    params = nn.init_params(spec, 2)
+    before = params.copy()
+    for batches in ([], client_batches(np.arange(len(ds)), 16, 0, 0, seed=2)):
+        out, _ = local_epoch(spec, params, ds, batches, lr=0.05)
+        assert not np.shares_memory(out, params)
+        np.testing.assert_array_equal(params, before)
+    # client 1's shard is empty, so its batch list is too
+    part = Partition({0: np.arange(40), 1: np.array([], dtype=int)}, 2)
+    ctx = RoundContext(0, np.array([0, 1]), frozenset(), lr=0.05)
+    new_global, info = run_fl_round(ctx, spec, params, ds, part, 16, 7,
+                                    _no_attack(), "fedavg")
+    np.testing.assert_array_equal(params, before)
+    np.testing.assert_array_equal(info.rows[1], before)
+    for arr in (new_global, info.rows):
+        assert not np.shares_memory(arr, params)
+
+
 # ---------------------------------------------------------------- evaluate
 
 
@@ -344,6 +364,29 @@ def test_splitfed_round_all_malicious_inactive_aggregates_honest_rows():
                                           part, 16, 5, _no_attack(), "median")
     assert info.rows.shape == (2, model.client_params.size)
     np.testing.assert_array_equal(new_client, (info.rows[0] + info.rows[1]) / 2.0)
+
+
+def test_splitfed_round_does_not_alias_its_inputs_or_rows():
+    spec = mlp_spec()
+    ds = _toy_data(n=60, seed=9)
+    part = partition_iid(ds, 5, seed=3)
+    params = nn.init_params(spec, 9)
+    for attack in (_no_attack(), AttackSpec(kind="agropt", start_round=0)):
+        model = split.split_at(spec, params, split.CutPoint(spec.cut_presets["v2"]))
+        client_global = model.client_params.copy()
+        before = client_global.copy()
+        ctx = RoundContext(0, np.arange(5), frozenset({4}), lr=0.05)
+        new_client, info = run_splitfed_round(ctx, model, client_global, ds, part,
+                                              16, 13, attack, "median")
+        np.testing.assert_array_equal(client_global, before)
+        rows = info.rows
+        for i in range(len(rows)):
+            assert not np.shares_memory(rows[i], model.client_params)
+            assert not np.shares_memory(rows[i], client_global)
+            for j in range(i + 1, len(rows)):
+                assert not np.shares_memory(rows[i], rows[j])
+        assert not np.shares_memory(new_client, model.client_params)
+        assert not np.shares_memory(new_client, client_global)
 
 
 # ---------------------------------------------------------------- train loop

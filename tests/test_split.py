@@ -50,6 +50,21 @@ def test_split_v1_client_owns_first_dense():
     np.testing.assert_array_equal(model.client_params, params[: 8 * 32 + 32])
 
 
+def test_split_at_halves_do_not_share_memory_with_input():
+    for spec in (mlp_spec(), cnn_spec()):
+        rng = np.random.default_rng(3)
+        params = nn.init_params(spec, 3)
+        before = params.copy()
+        x = rng.normal(size=(4,) + spec.input_shape)
+        y = rng.integers(0, spec.num_classes, size=4)
+        for cut in spec.cut_presets.values():
+            model = split_at(spec, params, CutPoint(cut))
+            assert not np.shares_memory(model.client_params, params)
+            assert not np.shares_memory(model.server_params, params)
+            split_train_step(model, x, y, 0.1)
+            np.testing.assert_array_equal(params, before)
+
+
 def test_split_offset_monotone_in_cut():
     spec = mlp_spec()
     offsets = [split_offset(spec, CutPoint(c)) for c in sorted(spec.cut_presets.values())]
@@ -220,3 +235,20 @@ def test_multi_step_split_equivalence():
     for x, y in batches:
         split_train_step(model, x, y, 0.05)
     np.testing.assert_array_equal(full_params(model), reference)
+
+
+def test_assigning_new_half_vectors_rebinds_the_views():
+    """A half keeps its parameter views across steps; assigning a new vector
+    must make the next step read that vector, as a fresh split would."""
+    spec, params, model, x, y = _mlp_setup("v2")
+    split_train_step(model, x, y, 0.05)
+    fresh = split_at(spec, params, CutPoint(spec.cut_presets["v2"]))
+    model.client_params = fresh.client_params.copy()
+    model.server_params = fresh.server_params.copy()
+    for _ in range(2):
+        split_train_step(model, x, y, 0.05)
+        split_train_step(fresh, x, y, 0.05)
+    np.testing.assert_array_equal(full_params(model), full_params(fresh))
+    model.client_params = np.zeros(model.client_params.size + 1)
+    with pytest.raises(nn.ShapeError):
+        split_train_step(model, x, y, 0.05)
