@@ -9,13 +9,16 @@ Two families:
   aggregation rule moves from the benign mean when m copies of the crafted
   row join the benign rows.
 
-The search never sorts the stacked rows. The m crafted rows are identical,
-so the benign columns are sorted once per search and each evaluation places
-the crafted value into that order. It reduces only the rows of the rule's
-window, with the same rule_window and reduce_window that aggregate uses.
-Every deviation, and so every gamma, is bit for bit the one that stacking the
-rows and calling aggregate gives; agr_deviation still takes that route and is
-the reference the tests hold the search to.
+Nothing here sorts the stacked rows. The m crafted rows are identical, so
+BenignColumns sorts the benign columns once per round, and a _CraftedStack
+places the crafted value into that order and reduces only the rows of the
+rule's window, with the same rule_window and reduce_window that aggregate
+uses. The gamma search evaluates every deviation that way, bit for bit the
+one that stacking the rows and calling aggregate gives; agr_deviation still
+takes that route and is the reference the tests hold the search to. The
+round loop (protocol._aggregate_round) takes the attacked round's aggregate
+from the same stack, BenignColumns.stack, and aggregates the stacked rows
+again only in the columns whose result is zero or not finite.
 
 All crafting reads only the benign rows it is given; nothing here inspects
 malicious clients' own data.
@@ -77,8 +80,9 @@ class BenignColumns:
     derives from them: the benign mean (the sum fed_avg takes), the
     population standard deviation and the perturbation directions.
 
-    gamma_search accepts one in place of the row matrix, so that a caller
-    crafting the row afterwards reads the mean and direction of the same sort.
+    gamma_search, lie_update and craft_round_update accept one in place of
+    the row matrix, so that a caller aggregating the round afterwards reads
+    the same sort.
     """
 
     def __init__(self, benign: np.ndarray):
@@ -86,6 +90,14 @@ class BenignColumns:
         self.sorted = np.sort(self.rows, axis=0)
         self.mean = reduce_window(AggregationRule("fedavg"), self.sorted)
         self._directions: dict[str, np.ndarray] = {}
+        self._stacks: dict[tuple[int, AggregationRule], _CraftedStack] = {}
+
+    def stack(self, m: int, rule: AggregationRule) -> _CraftedStack:
+        """The _CraftedStack of these columns with m crafted rows under the
+        rule, built once per (m, rule)."""
+        if (m, rule) not in self._stacks:
+            self._stacks[m, rule] = _CraftedStack(self.sorted, m, rule)
+        return self._stacks[m, rule]
 
     @cached_property
     def std(self) -> np.ndarray:
@@ -114,6 +126,10 @@ class BenignColumns:
         if kind == "sign":
             return -np.sign(self.mean)
         raise ValueError(f"unknown perturbation {kind!r}")
+
+
+def _columns(benign: np.ndarray | BenignColumns) -> BenignColumns:
+    return benign if isinstance(benign, BenignColumns) else BenignColumns(benign)
 
 
 def benign_mean(benign: np.ndarray) -> np.ndarray:
@@ -221,10 +237,10 @@ def gamma_search(benign: np.ndarray | BenignColumns, m: int, perturb: str,
         raise ValueError("tau must be positive")
     if m < 1:
         raise ValueError("need at least one malicious row to search over")
-    cols = benign if isinstance(benign, BenignColumns) else BenignColumns(benign)
+    cols = _columns(benign)
     gb = cols.mean
     gp = cols.perturbation(perturb)
-    stack = _CraftedStack(cols.sorted, m, rule)
+    stack = cols.stack(m, rule)
     gamma = gamma_init
     step = gamma_init / 2.0
     best = 0.0
@@ -245,15 +261,16 @@ def gamma_search(benign: np.ndarray | BenignColumns, m: int, perturb: str,
     return GammaSearchResult(top_gamma, top_dev, evals)
 
 
-def lie_update(benign: np.ndarray, z: float) -> np.ndarray:
+def lie_update(benign: np.ndarray | BenignColumns, z: float) -> np.ndarray:
     """Benign mean shifted by z population standard deviations per dimension."""
-    cols = BenignColumns(benign)
+    cols = _columns(benign)
     return cols.mean + z * cols.std
 
 
-def craft_round_update(attack: AttackSpec, benign: np.ndarray, m: int,
-                       deployed_rule: AggregationRule):
-    """The malicious row all m colluding clients submit this round.
+def craft_round_update(attack: AttackSpec, benign: np.ndarray | BenignColumns,
+                       m: int, deployed_rule: AggregationRule):
+    """The malicious row all m colluding clients submit this round, from the
+    benign row matrix or a BenignColumns built from it.
 
     Returns (vector, gamma, deviation); gamma and deviation are None for lie.
     Raises FloatingPointError when every deviation of the gamma search is NaN,
@@ -262,7 +279,7 @@ def craft_round_update(attack: AttackSpec, benign: np.ndarray, m: int,
     if attack.kind == "lie":
         return lie_update(benign, attack.z), None, None
     if attack.kind == "agropt":
-        cols = BenignColumns(benign)
+        cols = _columns(benign)
         res = gamma_search(cols, m, attack.perturb, deployed_rule,
                            attack.gamma_init, attack.tau)
         if res.gamma is None:

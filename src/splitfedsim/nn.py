@@ -41,11 +41,17 @@ class Layer:
         plus fans() -> (fan_in, fan_out) for kinds with a weight;
     forward(tensors, x) -> (y, aux), aux being what backward needs;
     backward(tensors, x, aux, dout, grads) -> gradient wrt x, after writing
-        each parameter gradient into the matching array of grads.
+        each parameter gradient into the matching array of grads;
+    param_grads(tensors, x, aux, dout, grads): only the writes of backward
+        (default: nothing to write), for a first layer whose input gradient
+        nobody reads.
     """
 
     def param_shapes(self) -> list[tuple[int, ...]]:
         return []
+
+    def param_grads(self, tensors, x, aux, dout, grads) -> None:
+        pass
 
 
 @dataclass(frozen=True)
@@ -69,12 +75,14 @@ class Dense(Layer):
         w, b = tensors
         return x @ w + b, None
 
-    def backward(self, tensors, x, aux, dout, grads):
-        w, _ = tensors
+    def param_grads(self, tensors, x, aux, dout, grads):
         gw, gb = grads
         np.matmul(x.T, dout, out=gw)
         dout.sum(axis=0, out=gb)
-        return dout @ w.T
+
+    def backward(self, tensors, x, aux, dout, grads):
+        self.param_grads(tensors, x, aux, dout, grads)
+        return dout @ tensors[0].T
 
 
 @dataclass(frozen=True)
@@ -124,14 +132,16 @@ class Conv2d(Layer):
         y = np.tensordot(patches, w, axes=([1, 2, 3], [1, 2, 3]))
         return y.transpose(0, 3, 1, 2) + b[None, :, None, None], patches
 
-    def backward(self, tensors, x, aux, dout, grads):
-        w, _ = tensors
+    def param_grads(self, tensors, x, aux, dout, grads):
         gw, gb = grads
         # dout (B,O,Ho,Wo) x patches (B,C,k,k,Ho,Wo) -> (O,C,k,k)
         gw[...] = np.tensordot(dout, aux, axes=([0, 2, 3], [0, 4, 5]))
         gb[...] = dout.sum(axis=(0, 2, 3))
+
+    def backward(self, tensors, x, aux, dout, grads):
+        self.param_grads(tensors, x, aux, dout, grads)
         # dout (B,O,Ho,Wo) x w (O,C,k,k) -> (B,Ho,Wo,C,k,k)
-        dpatches = np.tensordot(dout, w, axes=([1], [0]))
+        dpatches = np.tensordot(dout, tensors[0], axes=([1], [0]))
         k, s, p = self.kernel, self.stride, self.padding
         bsz, c, hin, win = x.shape
         ho, wo = dout.shape[2], dout.shape[3]
@@ -355,16 +365,22 @@ def segment_forward(layers: tuple[Layer, ...], tensors: list[list[np.ndarray]],
 
 def segment_backward(layers: tuple[Layer, ...], tensors: list[list[np.ndarray]],
                      acts: list[np.ndarray], aux: dict, dout: np.ndarray,
-                     grads: list[list[np.ndarray]] | None = None):
+                     grads: list[list[np.ndarray]] | None = None,
+                     input_grad: bool = True):
     """Backward through a segment. Returns (grad tensors, gradient wrt input).
 
     The parameter gradients are written into grads, the segment's layout
-    views of one flat gradient vector; without it a fresh vector is used."""
+    views of one flat gradient vector; without it a fresh vector is used.
+    With input_grad False the gradient wrt the input is None: layer 0 only
+    writes its parameter gradients, which are the same bits."""
     if grads is None:
         layout = segment_layout(tuple(layers))
         grads = layout.views(np.empty(layout.size))
-    for i in reversed(range(len(layers))):
+    for i in reversed(range(0 if input_grad else 1, len(layers))):
         dout = layers[i].backward(tensors[i], acts[i], aux.get(i), dout, grads[i])
+    if not input_grad:
+        layers[0].param_grads(tensors[0], acts[0], aux.get(0), dout, grads[0])
+        dout = None
     return grads, dout
 
 
@@ -392,14 +408,17 @@ def forward(spec: ModelSpec, params: np.ndarray, batch: np.ndarray) -> ForwardCa
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and its gradient wrt logits (the 1/B is folded in)."""
+    """Mean cross-entropy and its gradient wrt logits (the 1/B is folded in).
+
+    The reductions are called as ufunc reductions, the ones the array
+    methods dispatch to, and the mean is the sum over n, as .mean() takes
+    it: the same bits at less overhead per call."""
     n = logits.shape[0]
-    z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1))
-    logp = z - logsumexp[:, None]
+    logp = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    logp -= np.log(np.add.reduce(np.exp(logp), axis=1, keepdims=True))
     rows = np.arange(n)
-    loss = float(-logp[rows, labels].mean())
-    dlogits = np.exp(logp)
+    loss = float(-(np.add.reduce(logp[rows, labels]) / n))
+    dlogits = np.exp(logp, out=logp)
     dlogits[rows, labels] -= 1.0
     dlogits /= n
     return loss, dlogits
@@ -434,13 +453,13 @@ def backward(spec: ModelSpec, params: np.ndarray, cache: ForwardCache,
 
 
 def _backward(spec: ModelSpec, tensors: list[list[np.ndarray]],
-              cache: ForwardCache, labels: np.ndarray):
+              cache: ForwardCache, labels: np.ndarray, input_grad: bool = True):
     """backward from parameter views and checked labels; the gradient is a
     fresh flat vector that each layer writes its slice of."""
     loss, dlogits = softmax_cross_entropy(cache.logits, labels)
     g = np.empty(spec.layout.size)
     _, dx = segment_backward(spec.layers, tensors, cache.activations, cache.aux,
-                             dlogits, spec.layout.views(g))
+                             dlogits, spec.layout.views(g), input_grad)
     return g, dx, loss
 
 
@@ -459,7 +478,8 @@ def grad(spec: ModelSpec, params: np.ndarray, batch: np.ndarray,
     tensors = unflatten_params(spec, params)
     acts, aux = segment_forward(spec.layers, tensors, batch)
     labels = _check_labels(labels, spec.num_classes, batch.shape[0])
-    g, _, loss = _backward(spec, tensors, ForwardCache(acts, aux), labels)
+    g, _, loss = _backward(spec, tensors, ForwardCache(acts, aux), labels,
+                           input_grad=False)
     return g, loss
 
 

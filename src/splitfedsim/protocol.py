@@ -25,7 +25,7 @@ import numpy as np
 
 from . import nn, split
 from .aggregation import AggregationRule, aggregate
-from .attacks import AttackSpec, craft_round_update
+from .attacks import AttackSpec, BenignColumns, craft_round_update
 from .config import malicious_count
 from .datasets import Dataset, Partition, gen_blobs, load_idx, partition_dirichlet, \
     partition_iid, sample_clients
@@ -131,26 +131,47 @@ def _aggregate_round(ctx: RoundContext, rows: dict[int, np.ndarray],
     it keeps `current`. Returns (new params, RoundInfo)."""
     loss = float(np.mean(losses)) if losses else 0.0
     rule = round_rule(defense, ctx.m_round)
-    benign = None
-    gamma = deviation = None
-    if _attack_active(ctx, attack):
-        benign_ids = [int(c) for c in ctx.selected if int(c) not in ctx.malicious]
-        if not benign_ids:
-            nothing = np.empty((0, current.size))
-            return current, RoundInfo(nothing, nothing, loss, None, None)
-        benign = np.stack([rows[cid] for cid in benign_ids])
-        try:
-            vec, gamma, deviation = craft_round_update(attack, benign, ctx.m_round, rule)
-        except FloatingPointError as e:
-            raise FloatingPointError(f"round {ctx.round_no}: {e}") from e
-        if vec.shape != current.shape:
-            raise nn.ShapeError("crafted update does not match the aggregated parameters")
-        for cid in ctx.selected:
-            if int(cid) in ctx.malicious:
-                rows[int(cid)] = vec
+    if not _attack_active(ctx, attack):
+        matrix = np.stack([rows[int(c)] for c in ctx.selected])
+        return aggregate(rule, matrix), RoundInfo(matrix, None, loss, None, None)
+    benign_ids = [int(c) for c in ctx.selected if int(c) not in ctx.malicious]
+    if not benign_ids:
+        nothing = np.empty((0, current.size))
+        return current, RoundInfo(nothing, nothing, loss, None, None)
+    cols = BenignColumns(np.stack([rows[cid] for cid in benign_ids]))
+    try:
+        vec, gamma, deviation = craft_round_update(attack, cols, ctx.m_round, rule)
+    except FloatingPointError as e:
+        raise FloatingPointError(f"round {ctx.round_no}: {e}") from e
+    if vec.shape != current.shape:
+        raise nn.ShapeError("crafted update does not match the aggregated parameters")
+    for cid in ctx.selected:
+        if int(cid) in ctx.malicious:
+            rows[int(cid)] = vec
     matrix = np.stack([rows[int(c)] for c in ctx.selected])
-    new = aggregate(rule, matrix)
-    return new, RoundInfo(matrix, benign, loss, gamma, deviation)
+    new = _crafted_aggregate(rule, cols, ctx.m_round, vec, matrix)
+    return new, RoundInfo(matrix, cols.rows, loss, gamma, deviation)
+
+
+def _crafted_aggregate(rule: AggregationRule, cols: BenignColumns, m: int,
+                       vec: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """aggregate(rule, matrix) for a matrix of the benign rows and m copies
+    of vec, read off the attacker's sort of the benign columns.
+
+    The stack's window holds the same values in the same order as the
+    sorted matrix, so every nonzero finite result has the same bits; only
+    where +0.0 and -0.0 tie may a zero take the other sign. The columns
+    whose result is zero or infinite are therefore aggregated again from
+    the matrix itself. A NaN's sign bit depends on where its column falls
+    in NumPy's vector loop, so a round with a NaN result, which the train
+    loop rejects anyway, aggregates the whole matrix."""
+    new = cols.stack(m, rule).aggregate(vec)
+    if np.isnan(new).any():
+        return aggregate(rule, matrix)
+    redo = np.flatnonzero((new == 0.0) | np.isinf(new))
+    if redo.size:
+        new[redo] = aggregate(rule, matrix[:, redo])
+    return new
 
 
 def run_fl_round(ctx: RoundContext, spec: nn.ModelSpec, global_params: np.ndarray,

@@ -9,7 +9,9 @@ produces bit-identical parameters to training it whole.
 Each half keeps its parameter views across steps: they are rebuilt only when
 a new vector is assigned to client_params or server_params, which the round
 loop does once per client. Backward writes the gradient into a flat buffer
-the half owns, and SGD updates the parameter vector in place.
+the half owns, and SGD updates the parameter vector in place. The client's
+backward stops at layer 0's parameter gradients: the gradient wrt the input
+batch has no reader.
 """
 from __future__ import annotations
 
@@ -156,7 +158,8 @@ def client_backward(model: SplitModel, smashed: SmashedBatch,
             f"activations {smashed.activations.shape}")
     half = model._client
     nn.segment_backward(half.layers, half.tensors(model.client_params),
-                        smashed.client_acts, smashed.client_aux, cut_grad, half.grads)
+                        smashed.client_acts, smashed.client_aux, cut_grad, half.grads,
+                        input_grad=False)
     if lr > 0:
         model.client_params -= lr * half.grad
     return model.client_params

@@ -27,6 +27,7 @@ from splitfedsim.nn import (
     layer_param_count,
     loss_value,
     param_count,
+    segment_backward,
     segment_forward,
     segment_param_count,
     sgd_step,
@@ -374,6 +375,67 @@ def test_successive_grads_do_not_share_memory(build):
     assert not np.shares_memory(g1, p)
     np.testing.assert_array_equal(g1, kept)
     np.testing.assert_array_equal(g2, kept)
+
+
+def _relu_first():
+    return ModelSpec(layers=(ReLU(), Dense(3, 5), ReLU(), Dense(5, 4)),
+                     input_shape=(3,), num_classes=4)
+
+
+@pytest.mark.parametrize("build", [mlp_spec, cnn_spec, _relu_first, _dense_spec],
+                         ids=["mlp", "cnn", "relu_first", "single_dense"])
+def test_grad_stops_at_layer_0_with_the_bits_of_backward(build):
+    spec = build()
+    rng = np.random.default_rng(8)
+    p = init_params(spec, 8)
+    for bsz in (1, 6):
+        x = rng.normal(size=(bsz,) + spec.input_shape)
+        y = rng.integers(0, spec.num_classes, size=bsz)
+        g, loss = grad(spec, p, x, y)
+        cache = forward(spec, p, x)
+        want, dx, want_loss = backward(spec, p, cache, y)
+        assert g.tobytes() == want.tobytes()
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert dx.shape == x.shape
+        _, dlogits = softmax_cross_entropy(cache.logits, y)
+        grads, none = segment_backward(spec.layers, unflatten_params(spec, p),
+                                       cache.activations, cache.aux, dlogits,
+                                       input_grad=False)
+        assert none is None
+        assert flatten_tensors(grads).tobytes() == want.tobytes()
+
+
+def _softmax_cross_entropy_reference(logits, labels):
+    """The formula softmax_cross_entropy keeps to the bit."""
+    n = logits.shape[0]
+    z = logits - logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(z).sum(axis=1))
+    logp = z - logsumexp[:, None]
+    rows = np.arange(n)
+    loss = float(-logp[rows, labels].mean())
+    dlogits = np.exp(logp)
+    dlogits[rows, labels] -= 1.0
+    dlogits /= n
+    return loss, dlogits
+
+
+@pytest.mark.parametrize("n", [1, 2, 32, 33])
+def test_softmax_cross_entropy_keeps_the_bits_of_its_formula(n):
+    rng = np.random.default_rng(n)
+    cases = [rng.normal(size=(n, 4)),
+             rng.integers(-2, 3, size=(n, 4)).astype(float),   # ties in a row
+             np.full((n, 4), 0.25),
+             rng.normal(size=(n, 4)) * 1e3,
+             rng.choice([-1e3, 1e3, 0.0], size=(n, 10)),
+             rng.normal(size=(n, 2)) + 1e3]
+    for logits in cases:
+        labels = rng.integers(0, logits.shape[1], size=n)
+        kept = logits.copy()
+        loss, dlogits = softmax_cross_entropy(logits, labels)
+        want_loss, want = _softmax_cross_entropy_reference(logits, labels)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert dlogits.tobytes() == want.tobytes()
+        assert logits.tobytes() == kept.tobytes()
 
 
 # ---------------------------------------------------------------- sgd

@@ -7,13 +7,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from splitfedsim import nn, split
+from splitfedsim import nn, protocol, split
+from splitfedsim.aggregation import aggregate
 from splitfedsim.attacks import AttackSpec, benign_mean, perturbation_vector
 from splitfedsim.config import ExperimentConfig
 from splitfedsim.datasets import Dataset, Partition, partition_iid
 from splitfedsim.models import mlp_spec
 from splitfedsim.protocol import (
     RoundContext,
+    _aggregate_round,
     build_attack,
     client_batches,
     evaluate,
@@ -272,6 +274,86 @@ def test_fl_round_all_malicious_inactive_trains_honestly():
         assert info.rows.shape == (2, params.size)
         assert info.benign_rows is None
         np.testing.assert_array_equal(new_global, (info.rows[0] + info.rows[1]) / 2.0)
+
+
+# ---------------------------------------------------------------- round aggregate
+
+
+def _tied_rows(rng, n, nonfinite):
+    """n benign rows whose columns tie with each other and with what the
+    attacks craft from them: reals, small integers, +0.0/-0.0 mixes and
+    all-zero columns of either sign; with nonfinite, columns holding +inf,
+    -inf and NaN as well."""
+    cols = [rng.normal(size=n), rng.normal(size=n),
+            rng.integers(-2, 3, size=n).astype(float),
+            np.full(n, rng.integers(-2, 3) * 1.0),
+            rng.choice([0.0, -0.0], size=n), rng.choice([0.0, -0.0], size=n),
+            np.full(n, 0.0), np.full(n, -0.0),
+            np.where(rng.random(n) < 0.5, rng.choice([0.0, -0.0], size=n), 1.0)]
+    if nonfinite:
+        for special in (np.inf, -np.inf, np.nan):
+            col = rng.choice([0.0, -0.0, 1.0], size=n)
+            col[rng.integers(0, n)] = special
+            cols.append(col)
+        cols.append(np.where(rng.random(n) < 0.5, np.inf, -np.inf))
+    return np.stack(cols, axis=1)
+
+
+def _crafted_like(rng, benign):
+    """Crafted rows that tie with benign values or with either zero, or are
+    +-inf or NaN, column by column."""
+    n, d = benign.shape
+    picks = benign[rng.integers(0, n, size=d), np.arange(d)]
+    specials = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=d)
+    return [picks, specials, np.where(rng.random(d) < 0.5, picks, specials)]
+
+
+def _attacked_rounds(rng, nonfinite):
+    """(ctx, benign rows by id) for n benign and m = 1..n-1 malicious
+    clients, so n + m takes odd and even values, with the malicious ids
+    spread among the benign ones."""
+    for n in range(2, 8):
+        for m in range(1, n):
+            ids = np.arange(n + m)
+            malicious = frozenset(int(c) for c in rng.choice(ids, size=m, replace=False))
+            benign = _tied_rows(rng, n, nonfinite)
+            rows = dict(zip((int(c) for c in ids if int(c) not in malicious), benign))
+            yield RoundContext(0, ids, malicious, lr=0.1), rows
+
+
+def _assert_round_is_the_stacked_aggregate(ctx, rows, attack, defense):
+    current = np.zeros(next(iter(rows.values())).size)
+    new, info = _aggregate_round(ctx, dict(rows), current, [], attack, defense)
+    want = aggregate(round_rule(defense, ctx.m_round), info.rows)
+    differ = [j for j in range(want.size) if new[j:j + 1].tobytes() != want[j:j + 1].tobytes()]
+    assert not differ, (defense, ctx.m_round, differ, new[differ], want[differ])
+
+
+@pytest.mark.parametrize("defense", ["fedavg", "trmean", "median"])
+def test_attacked_round_is_aggregate_of_its_rows_byte_for_byte(defense):
+    rng = np.random.default_rng(21)
+    attacks = [AttackSpec(kind="lie", z=1.5), AttackSpec(kind="lie", z=0.0)]
+    attacks += [AttackSpec(kind="agropt", perturb=p) for p in ("std", "unit", "sign")]
+    with np.errstate(invalid="ignore"):
+        for ctx, rows in _attacked_rounds(rng, nonfinite=False):
+            for attack in attacks:
+                _assert_round_is_the_stacked_aggregate(ctx, rows, attack, defense)
+        # a non-finite benign value makes every agropt deviation NaN
+        for ctx, rows in _attacked_rounds(rng, nonfinite=True):
+            _assert_round_is_the_stacked_aggregate(ctx, rows, attacks[0], defense)
+
+
+@pytest.mark.parametrize("defense", ["fedavg", "trmean", "median"])
+def test_any_crafted_row_aggregates_byte_for_byte(defense, monkeypatch):
+    rng = np.random.default_rng(22)
+    with np.errstate(invalid="ignore"):
+        for ctx, rows in _attacked_rounds(rng, nonfinite=True):
+            benign = np.stack(list(rows.values()))
+            for crafted in _crafted_like(rng, benign):
+                monkeypatch.setattr(protocol, "craft_round_update",
+                                    lambda *args, vec=crafted: (vec, None, None))
+                _assert_round_is_the_stacked_aggregate(
+                    ctx, rows, AttackSpec(kind="lie"), defense)
 
 
 # ---------------------------------------------------------------- splitfed rounds
