@@ -2,9 +2,13 @@
 per parameter).
 
 All three rules sort each column first and reduce in ascending value order
-with a sequential accumulator. That makes every rule exactly permutation
-invariant (bitwise, not just mathematically) and makes trimmed_mean with
-trim_count 0 literally the same computation as fed_avg.
+with a sequential accumulator. So reordering the rows leaves every nonzero
+finite result bitwise unchanged, not just mathematically, and trimmed_mean
+with trim_count 0 is literally the same computation as fed_avg. Zeros and
+NaNs are the exceptions: +0.0 and -0.0 compare equal, so where both tie at
+the edge of a median or trimmed window the sign of a zero result can follow
+row order, and a NaN result's sign bit depends on where its column falls in
+NumPy's vector loop.
 
 Each rule is defined once, by rule_window (the sorted rows it reads) and
 reduce_window (how it reduces them). aggregate and the attacker's gamma

@@ -7,6 +7,7 @@ client subset per round.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -97,52 +98,52 @@ def gen_blobs(seed: int, num_classes: int = 4, dims: int = 8,
     return train, test
 
 
+# IDX magic numbers: unsigned bytes in 3 dimensions (images), in 1 (labels)
+_IMAGE_MAGIC = 0x00000803
+_LABEL_MAGIC = 0x00000801
+
+
+def _idx_header(f, magic: int, ndim: int) -> tuple[int, ...]:
+    """The ndim dimension sizes from the header of an IDX file open for
+    binary reading, whose magic number must be magic; leaves f at the first
+    data byte."""
+    size = 4 * (1 + ndim)
+    header = f.read(size)
+    if len(header) < size:
+        raise IdxFormatError(f"{f.name}: truncated header")
+    got, *dims = struct.unpack(f">{1 + ndim}I", header)
+    if got != magic:
+        raise IdxFormatError(
+            f"{f.name}: bad magic 0x{got:08x}, expected 0x{magic:08x}")
+    return tuple(dims)
+
+
 def idx_image_header(f) -> tuple[int, int, int]:
     """(count, rows, cols) from the 16-byte header of an IDX image file open
     for binary reading; leaves f at the first pixel."""
-    header = f.read(16)
-    if len(header) < 16:
-        raise IdxFormatError(f"{f.name}: truncated header")
-    magic, count, rows, cols = struct.unpack(">IIII", header)
-    if magic != 0x00000803:
-        raise IdxFormatError(
-            f"{f.name}: bad magic 0x{magic:08x}, expected 0x00000803")
-    return count, rows, cols
+    return _idx_header(f, _IMAGE_MAGIC, 3)
 
 
-def _read_idx_images(path: str) -> np.ndarray:
+def _read_idx(path: str, magic: int, ndim: int, unit: str) -> np.ndarray:
+    """An IDX file's bytes as a uint8 array of the shape its header gives."""
     with open(path, "rb") as f:
-        count, rows, cols = idx_image_header(f)
-        body = f.read(count * rows * cols)
-        if len(body) < count * rows * cols:
+        dims = _idx_header(f, magic, ndim)
+        size = math.prod(dims)
+        body = f.read(size)
+        if len(body) < size:
             raise IdxFormatError(
-                f"{path}: expected {count * rows * cols} pixel bytes, got {len(body)}")
-    data = np.frombuffer(body, dtype=np.uint8).reshape(count, 1, rows, cols)
-    return data.astype(float) / 255.0
-
-
-def _read_idx_labels(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        header = f.read(8)
-        if len(header) < 8:
-            raise IdxFormatError(f"{path}: truncated header")
-        magic, count = struct.unpack(">II", header)
-        if magic != 0x00000801:
-            raise IdxFormatError(
-                f"{path}: bad magic 0x{magic:08x}, expected 0x00000801")
-        body = f.read(count)
-        if len(body) < count:
-            raise IdxFormatError(f"{path}: expected {count} label bytes, got {len(body)}")
-    return np.frombuffer(body, dtype=np.uint8).astype(np.int64)
+                f"{path}: expected {size} {unit} bytes, got {len(body)}")
+    return np.frombuffer(body, dtype=np.uint8).reshape(dims)
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Read IDX image/label files into a Dataset scaled to [0, 1]."""
-    features = _read_idx_images(images_path)
-    labels = _read_idx_labels(labels_path)
-    if features.shape[0] != labels.shape[0]:
+    images = _read_idx(images_path, _IMAGE_MAGIC, 3, "pixel")
+    labels = _read_idx(labels_path, _LABEL_MAGIC, 1, "label").astype(np.int64)
+    if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
-            f"{features.shape[0]} images but {labels.shape[0]} labels")
+            f"{images.shape[0]} images but {labels.shape[0]} labels")
+    features = images[:, None].astype(float) / 255.0
     return Dataset(features, labels, int(labels.max()) + 1 if labels.size else 1)
 
 

@@ -294,10 +294,6 @@ def segment_layout(layers: tuple[Layer, ...]) -> Layout:
     return Layout(tuple(slots), off)
 
 
-def layer_param_count(layer: Layer) -> int:
-    return segment_layout((layer,)).size
-
-
 def segment_param_count(layers: tuple[Layer, ...]) -> int:
     return segment_layout(tuple(layers)).size
 
@@ -312,13 +308,6 @@ def unflatten_segment(layers: tuple[Layer, ...], vec: np.ndarray) -> list[list[n
     if vec.shape != (layout.size,):
         raise ShapeError(f"parameter vector has shape {vec.shape}, expected ({layout.size},)")
     return layout.views(vec)
-
-
-def flatten_tensors(tensors: list[list[np.ndarray]]) -> np.ndarray:
-    flat = [t.ravel() for group in tensors for t in group]
-    if not flat:
-        return np.zeros(0)
-    return np.concatenate(flat)
 
 
 def unflatten_params(spec: ModelSpec, vec: np.ndarray) -> list[list[np.ndarray]]:

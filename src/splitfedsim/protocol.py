@@ -203,13 +203,13 @@ def run_splitfed_round(ctx: RoundContext, model: split.SplitModel,
     losses = []
     for cid in ctx.selected:
         cid = int(cid)
-        model.client_params = client_global.copy()
+        model.client_params[...] = client_global
         for batch_idx in client_batches(part.shard(cid), batch_size, ctx.round_no,
                                         cid, seed):
             x = train.features[batch_idx].reshape((-1,) + model.spec.input_shape)
             y = train.labels[batch_idx]
             losses.append(split.split_train_step(model, x, y, ctx.lr))
-        rows[cid] = model.client_params
+        rows[cid] = model.client_params.copy()
     return _aggregate_round(ctx, rows, client_global, losses, attack, defense)
 
 
@@ -277,7 +277,8 @@ def train(config: "ExperimentConfig") -> list[RoundRecord]:
             client_global, info = run_splitfed_round(
                 ctx, model, client_global, train_ds, part,
                 config.batch_size, config.seed, attack, config.defense)
-            current = np.concatenate([client_global, model.server_params])
+            model.client_params[...] = client_global
+            current = model.params
         else:
             params, info = run_fl_round(
                 ctx, spec, params, train_ds, part,

@@ -162,6 +162,27 @@ def test_permutation_invariance():
             )
 
 
+def test_permutation_keeps_nonzero_finite_results_byte_for_byte():
+    """assert_array_equal passes a zero whose sign flipped, so compare bytes:
+    every nonzero finite result survives any row order bit for bit, on
+    columns full of ties and of +0.0 / -0.0."""
+    rng = np.random.default_rng(12)
+    ties = np.array([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+    for _ in range(60):
+        n, d = int(rng.integers(1, 10)), int(rng.integers(1, 8))
+        u = rng.choice(ties, size=(n, d))
+        u[:, ::2] = rng.normal(scale=3.0, size=(n, (d + 1) // 2))
+        trim = int(rng.integers(0, (n - 1) // 2 + 1))
+        for rule in (AggregationRule("fedavg"), AggregationRule("median"),
+                     AggregationRule("trmean", trim_count=trim)):
+            want = aggregate(rule, u)
+            keep = np.isfinite(want) & (want != 0)
+            for _ in range(3):
+                got = aggregate(rule, u[rng.permutation(n)])
+                np.testing.assert_array_equal(got, want)
+                assert got[keep].tobytes() == want[keep].tobytes()
+
+
 def test_output_bounded_by_retained_values():
     for u, rng in _random_matrices(30, seed=4):
         n = u.shape[0]

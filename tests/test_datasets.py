@@ -150,6 +150,30 @@ def test_load_idx_truncated_header(tmp_path):
         load_idx(str(img), str(img))
 
 
+def test_load_idx_labels_bad_magic(tmp_path):
+    img, lab = _write_idx_pair(tmp_path, [0] * 6, [0], rows=3, cols=2,
+                               label_magic=0x803)
+    with pytest.raises(IdxFormatError, match="labels.idx: bad magic 0x00000803, "
+                                             "expected 0x00000801"):
+        load_idx(img, lab)
+
+
+def test_load_idx_labels_truncated_header(tmp_path):
+    img, lab = _write_idx_pair(tmp_path, [0] * 6, [0], rows=3, cols=2)
+    with open(lab, "r+b") as f:
+        f.truncate(7)
+    with pytest.raises(IdxFormatError, match="labels.idx: truncated header"):
+        load_idx(img, lab)
+
+
+def test_load_idx_labels_truncated_body(tmp_path):
+    img, lab = _write_idx_pair(tmp_path, [0] * 12, [1, 0], rows=3, cols=2)
+    with open(lab, "r+b") as f:
+        f.truncate(9)
+    with pytest.raises(IdxFormatError, match="labels.idx: expected 2 label bytes, got 1"):
+        load_idx(img, lab)
+
+
 # ---------------------------------------------------------------- partitions
 
 

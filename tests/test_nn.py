@@ -19,16 +19,15 @@ from splitfedsim.nn import (
     ShapeError,
     backward,
     finite_diff_grad,
-    flatten_tensors,
     forward,
     grad,
     infer_shapes,
     init_params,
-    layer_param_count,
     loss_value,
     param_count,
     segment_backward,
     segment_forward,
+    segment_layout,
     segment_param_count,
     sgd_step,
     sgd_update,
@@ -126,14 +125,18 @@ def test_init_params_glorot_bound():
 def test_flatten_unflatten_round_trip_bit_exact():
     spec = _small_mlp()
     p = init_params(spec, seed=3)
-    again = flatten_tensors(unflatten_params(spec, p))
-    np.testing.assert_array_equal(p, again)
+    again = np.empty(p.size)
+    for dst, src in zip(segment_layout(spec.layers).views(again),
+                        unflatten_params(spec, p)):
+        for d, t in zip(dst, src):
+            d[...] = t
+    assert again.tobytes() == p.tobytes()
 
 
 def test_layer_param_count_conv():
-    assert layer_param_count(Conv2d(3, 8, 3, 1, 1)) == 8 * 3 * 3 * 3 + 8
-    assert layer_param_count(ReLU()) == 0
-    assert layer_param_count(MaxPool2d(2)) == 0
+    assert segment_param_count((Conv2d(3, 8, 3, 1, 1),)) == 8 * 3 * 3 * 3 + 8
+    assert segment_param_count((ReLU(),)) == 0
+    assert segment_param_count((MaxPool2d(2),)) == 0
 
 
 def _walk_slots(layers):
@@ -173,7 +176,7 @@ def test_layout_matches_walk_on_every_prefix_and_suffix(spec):
                 unflatten_segment(seg, bad)
     assert param_count(spec) == _walk_slots(spec.layers)[1]
     for layer in spec.layers:
-        assert layer_param_count(layer) == _walk_slots((layer,))[1]
+        assert segment_param_count((layer,)) == _walk_slots((layer,))[1]
 
 
 # ---------------------------------------------------------------- forward
@@ -398,11 +401,13 @@ def test_grad_stops_at_layer_0_with_the_bits_of_backward(build):
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert dx.shape == x.shape
         _, dlogits = softmax_cross_entropy(cache.logits, y)
-        grads, none = segment_backward(spec.layers, unflatten_params(spec, p),
-                                       cache.activations, cache.aux, dlogits,
-                                       input_grad=False)
+        flat = np.empty(param_count(spec))
+        _, none = segment_backward(spec.layers, unflatten_params(spec, p),
+                                   cache.activations, cache.aux, dlogits,
+                                   segment_layout(spec.layers).views(flat),
+                                   input_grad=False)
         assert none is None
-        assert flatten_tensors(grads).tobytes() == want.tobytes()
+        assert flat.tobytes() == want.tobytes()
 
 
 def _softmax_cross_entropy_reference(logits, labels):

@@ -84,6 +84,8 @@ def test_split_rejects_wrong_param_length():
     spec = mlp_spec()
     with pytest.raises(ValueError):
         split_at(spec, np.zeros(10), CutPoint(2))
+    with pytest.raises(nn.ShapeError):
+        SplitModel(spec, CutPoint(2), np.zeros(nn.param_count(spec) + 1))
 
 
 # ---------------------------------------------------------------- forward
@@ -94,7 +96,7 @@ def test_client_forward_matches_full_model_prefix():
     smashed = client_forward(model, x, y)
     cache = nn.forward(spec, params, x)
     np.testing.assert_array_equal(smashed.activations, cache.activations[model.cut.layer_index])
-    assert smashed.batch_size == 6
+    assert smashed.activations.shape[0] == 6
 
 
 def test_client_forward_shape_checks():
@@ -105,6 +107,13 @@ def test_client_forward_shape_checks():
         client_forward(model, np.zeros((0, 8)), np.zeros(0, dtype=int))
     with pytest.raises(nn.ShapeError):
         client_forward(model, x, y[:-1])
+
+
+def test_client_forward_checks_label_values():
+    _, _, model, x, y = _mlp_setup()
+    for bad in (y.astype(float), np.full(6, -1), np.full(6, 4), np.arange(6)):
+        with pytest.raises(nn.ShapeError):
+            client_forward(model, x, bad)
 
 
 def test_relu_client_half_passes_nonnegative_input_through():
@@ -124,26 +133,29 @@ def test_relu_client_half_passes_nonnegative_input_through():
 def test_server_loss_equals_full_model_loss():
     spec, params, model, x, y = _mlp_setup()
     smashed = client_forward(model, x, y)
-    _, _, loss = server_step(model, smashed, lr=0.0)
+    _, _, loss = server_step(model, smashed, lr=0.05)
     assert loss == nn.loss_value(spec, params, x, y)
 
 
-def test_server_step_zero_lr_keeps_params_but_returns_gradient():
-    _, _, model, x, y = _mlp_setup()
-    before = model.server_params.copy()
-    cut_grad, after, _ = server_step(model, client_forward(model, x, y), lr=0.0)
-    np.testing.assert_array_equal(after, before)
-    assert cut_grad.shape == (6,) + model.cut_shape
-    assert np.linalg.norm(cut_grad) > 0
+def test_split_steps_reject_non_positive_lr_and_leave_both_halves():
+    _, params, model, x, y = _mlp_setup()
+    smashed = client_forward(model, x, y)
+    cut_grad = np.ones_like(smashed.activations)
+    for lr in (0.0, -0.1):
+        with pytest.raises(ValueError, match="learning rate"):
+            server_step(model, smashed, lr)
+        with pytest.raises(ValueError, match="learning rate"):
+            client_backward(model, smashed, cut_grad, lr)
+        assert full_params(model).tobytes() == params.tobytes()
 
 
 def test_server_step_gradients_computed_before_update():
-    spec, params, model, x, y = _mlp_setup()
-    smashed = client_forward(model, x, y)
+    _, _, model, x, y = _mlp_setup()
+    _, _, twin, _, _ = _mlp_setup()
     before = model.server_params.copy()
-    cut_grad_lr0, _, _ = server_step(model, smashed, lr=0.0)
-    cut_grad_lr1, updated, _ = server_step(model, smashed, lr=0.5)
-    np.testing.assert_array_equal(cut_grad_lr0, cut_grad_lr1)
+    cut_grad_a, _, _ = server_step(model, client_forward(model, x, y), lr=0.05)
+    cut_grad_b, updated, _ = server_step(twin, client_forward(twin, x, y), lr=0.5)
+    np.testing.assert_array_equal(cut_grad_a, cut_grad_b)
     assert not np.array_equal(updated, before)
 
 
@@ -158,7 +170,7 @@ def test_split_gradient_concat_equals_full_gradient():
         offset = model.client_params.size
 
         smashed = client_forward(model, x, y)
-        cut_grad, _, _ = server_step(model, smashed, lr=0.0)
+        cut_grad, _, _ = server_step(model, smashed, lr=0.05)
         # recover the client grad via a unit-lr step difference
         before = model.client_params.copy()
         stepped = client_backward(model, smashed, cut_grad, lr=1.0)
@@ -171,7 +183,7 @@ def test_client_backward_zero_cut_grad_no_change():
     _, _, model, x, y = _mlp_setup()
     smashed = client_forward(model, x, y)
     before = model.client_params.copy()
-    zero = np.zeros((6,) + model.cut_shape)
+    zero = np.zeros_like(smashed.activations)
     np.testing.assert_array_equal(client_backward(model, smashed, zero, lr=0.5), before)
 
 
@@ -179,7 +191,7 @@ def test_client_backward_delta_linear_in_lr():
     _, _, model_a, x, y = _mlp_setup()
     _, _, model_b, _, _ = _mlp_setup()
     smashed = client_forward(model_a, x, y)
-    cut_grad, _, _ = server_step(model_a, smashed, lr=0.0)
+    cut_grad, _, _ = server_step(model_a, smashed, lr=0.05)
     start = model_a.client_params.copy()
     d1 = start - client_backward(model_a, smashed, cut_grad, lr=0.1)
     d2 = start - client_backward(model_b, smashed, cut_grad, lr=0.2)
@@ -237,18 +249,31 @@ def test_multi_step_split_equivalence():
     np.testing.assert_array_equal(full_params(model), reference)
 
 
-def test_assigning_new_half_vectors_rebinds_the_views():
-    """A half keeps its parameter views across steps; assigning a new vector
-    must make the next step read that vector, as a fresh split would."""
-    spec, params, model, x, y = _mlp_setup("v2")
-    split_train_step(model, x, y, 0.05)
-    fresh = split_at(spec, params, CutPoint(spec.cut_presets["v2"]))
-    model.client_params = fresh.client_params.copy()
-    model.server_params = fresh.server_params.copy()
-    for _ in range(2):
-        split_train_step(model, x, y, 0.05)
-        split_train_step(fresh, x, y, 0.05)
-    np.testing.assert_array_equal(full_params(model), full_params(fresh))
-    model.client_params = np.zeros(model.client_params.size + 1)
-    with pytest.raises(nn.ShapeError):
-        split_train_step(model, x, y, 0.05)
+def test_half_views_cannot_be_reassigned():
+    _, _, model, _, _ = _mlp_setup("v2")
+    for name in ("client_params", "server_params"):
+        with pytest.raises(AttributeError):
+            setattr(model, name, np.zeros(getattr(model, name).size))
+
+
+def test_copying_into_the_half_views_restarts_both_halves():
+    """The halves are fixed views of one buffer that every step reads; copying
+    a fresh split's vectors into them makes the next steps those of the fresh
+    split, bit for bit."""
+    for spec in (mlp_spec(), cnn_spec()):
+        rng = np.random.default_rng(5)
+        params = nn.init_params(spec, 5)
+        x = rng.normal(size=(4,) + spec.input_shape)
+        y = rng.integers(0, spec.num_classes, size=4)
+        for cut in spec.cut_presets.values():
+            model = split_at(spec, params, CutPoint(cut))
+            buffer = model.params
+            split_train_step(model, x, y, 0.05)
+            fresh = split_at(spec, params, CutPoint(cut))
+            model.client_params[...] = fresh.client_params
+            model.server_params[...] = fresh.server_params
+            for _ in range(2):
+                split_train_step(model, x, y, 0.05)
+                split_train_step(fresh, x, y, 0.05)
+            assert model.params is buffer
+            assert full_params(model).tobytes() == full_params(fresh).tobytes()
