@@ -25,6 +25,7 @@ malicious clients' own data.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,6 +48,13 @@ class GammaSearchResult:
     evaluations: int
 
 
+def _check_search(gamma_init: float, tau: float) -> None:
+    """A finite positive start and stopping step, so the halving ends."""
+    for name, v in (("gamma_init", gamma_init), ("tau", tau)):
+        if not (v > 0 and math.isfinite(v)):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
+
+
 @dataclass(frozen=True)
 class AttackSpec:
     """What the malicious coalition does each round.
@@ -67,10 +75,9 @@ class AttackSpec:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if self.perturb not in PERTURB_KINDS:
             raise ValueError(f"unknown perturbation {self.perturb!r}")
-        if self.gamma_init <= 0:
-            raise ValueError("gamma_init must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        _check_search(self.gamma_init, self.tau)
+        if not math.isfinite(self.z):
+            raise ValueError(f"z must be finite, got {self.z}")
         if self.start_round < 0:
             raise ValueError("start_round must be non-negative")
 
@@ -231,10 +238,7 @@ def gamma_search(benign: np.ndarray | BenignColumns, m: int, perturb: str,
     `benign` is the benign row matrix or a BenignColumns built from it. Each
     deviation equals agr_deviation's bit for bit, but costs no sort.
     """
-    if gamma_init <= 0:
-        raise ValueError("gamma_init must be positive")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_search(gamma_init, tau)
     if m < 1:
         raise ValueError("need at least one malicious row to search over")
     cols = _columns(benign)

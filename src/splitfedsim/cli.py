@@ -52,7 +52,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--axis", action="append", default=[],
                          metavar="NAME=V1,V2,...",
                          help=f"sweep axis, one of {sorted(SWEEP_AXES)}")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=positive_int, default=1)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p_grad.add_argument("--count", type=positive_int, default=24)
@@ -75,10 +75,13 @@ def _parse_axes(pairs: list[str]) -> dict[str, list]:
     axes: dict[str, list] = {}
     for raw in pairs:
         name, _, values = raw.partition("=")
+        name = name.strip()
         vals = [v.strip() for v in values.split(",") if v.strip()]
         if not vals:
             raise ConfigError(f"axis {raw!r} is not NAME=V1,V2,...")
-        axes[name.strip()] = vals
+        if name in axes:
+            raise ConfigError(f"axis {name!r} is given more than once")
+        axes[name] = vals
     return axes
 
 
@@ -102,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("train", "sweep"):
             cfg = _load_config(args)
             axes = _parse_axes(args.axis)
-            result = run_sweep(cfg, axes, n_jobs=max(1, args.jobs))
+            result = run_sweep(cfg, axes, n_jobs=args.jobs)
             write_results(result, args.out)
             _print_result(result)
             print(f"wrote {args.out}")

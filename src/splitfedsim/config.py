@@ -75,8 +75,11 @@ class ExperimentConfig:
         choice("agropt_perturb", PERTURB_KINDS)
         for f in ("dirichlet_alpha", "blob_spread", "lr", "agropt_gamma_init",
                   "agropt_tau"):
-            if not getattr(self, f) > 0:
-                raise ConfigError(f"{f} must be positive, got {getattr(self, f)}")
+            v = getattr(self, f)
+            if not (v > 0 and math.isfinite(v)):
+                raise ConfigError(f"{f} must be positive and finite, got {v}")
+        if not math.isfinite(self.lie_z):
+            raise ConfigError(f"lie_z must be finite, got {self.lie_z}")
         # gen_blobs needs two classes of two features and five samples each
         for f, least in (("seed", 0), ("rounds", 0), ("attack_start_round", -1),
                          ("blob_classes", 2), ("blob_dims", 2),

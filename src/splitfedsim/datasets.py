@@ -185,8 +185,8 @@ def partition_dirichlet(ds: Dataset, n_clients: int, alpha: float,
     the draw are given one sample taken from the currently largest client so
     every client can train.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     n = len(ds)
     if n_clients < 1 or n_clients > n:
         raise ValueError(f"cannot split {n} samples over {n_clients} clients")

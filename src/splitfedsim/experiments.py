@@ -121,7 +121,8 @@ def run_sweep(base: ExperimentConfig, axes: dict[str, list],
     keys = sorted(unique)
     configs = [unique[k] for k in keys]
     if n_jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        # the fork start method launches every worker up front
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(configs))) as pool:
             histories = list(pool.map(train, configs))
     else:
         histories = [train(c) for c in configs]

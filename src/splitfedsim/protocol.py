@@ -1,16 +1,17 @@
 """Round-based training orchestration for plain federated learning and for
 split-federated learning.
 
-Each round: sample clients, run local training, collect one update row per
-selected client, replace malicious rows with the crafted attack vector once
-the attack is active, aggregate, broadcast.
+Each round: sample clients, write each selected client's update once, into
+its slot of one update matrix, overwrite the malicious slots with the crafted
+attack vector once the attack is active, aggregate, broadcast.
 
 In fl mode a row is the client's full parameter vector after one local epoch.
 In splitfed mode clients only hold the portion below the cut; the server
 portion trains honestly one client at a time (client_forward -> server_step ->
 client_backward per batch), and only the client portions pass through the
 aggregation rule. Poisoning therefore acts on the client portion alone, which
-is what makes the cut position matter.
+is what makes the cut position matter. The SplitModel is splitfed's only
+state: every client starts from its client half, which takes the aggregate.
 
 Every random choice is derived from the experiment seed with a purpose tag,
 so a config determines the full history bit for bit.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,9 +49,14 @@ class RoundContext:
     malicious: frozenset[int]
     lr: float
 
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Per slot of `selected`, whether that client is malicious."""
+        return np.isin(self.selected, list(self.malicious))
+
     @property
     def m_round(self) -> int:
-        return sum(1 for cid in self.selected if cid in self.malicious)
+        return int(np.count_nonzero(self.mask))
 
 
 @dataclass
@@ -101,10 +108,9 @@ def round_rule(defense: str, m_round: int) -> AggregationRule:
 
 
 def local_epoch(spec: nn.ModelSpec, params: np.ndarray, train: Dataset,
-                batches: list[np.ndarray], lr: float):
-    """One epoch of mini-batch SGD from a copy of the given params, updated in
-    place. Returns the new params and the mean batch loss."""
-    params = params.copy()
+                batches: list[np.ndarray], lr: float) -> float:
+    """One epoch of mini-batch SGD on params, updated in place. Returns the
+    mean batch loss."""
     losses = []
     for batch_idx in batches:
         x = train.features[batch_idx].reshape((-1,) + spec.input_shape)
@@ -112,43 +118,40 @@ def local_epoch(spec: nn.ModelSpec, params: np.ndarray, train: Dataset,
         g, loss = nn.grad(spec, params, x, y)
         nn.sgd_update(params, g, lr)
         losses.append(loss)
-    return params, (float(np.mean(losses)) if losses else 0.0)
+    return float(np.mean(losses)) if losses else 0.0
 
 
-def _attack_active(ctx: RoundContext, attack: AttackSpec) -> bool:
-    return attack.kind != "none" and ctx.round_no >= attack.start_round \
-        and ctx.m_round > 0
+def _active_attack(ctx: RoundContext, attack: AttackSpec) -> AttackSpec | None:
+    """The attack if it is active this round, else None."""
+    if attack.kind != "none" and ctx.round_no >= attack.start_round and ctx.m_round:
+        return attack
+    return None
 
 
-def _aggregate_round(ctx: RoundContext, rows: dict[int, np.ndarray],
-                     current: np.ndarray, losses: list[float],
-                     attack: AttackSpec, defense: str):
-    """Replace the malicious rows with the crafted update once the attack is
-    active, then aggregate the rows in selected-id order.
+def _aggregate_round(ctx: RoundContext, matrix: np.ndarray, current: np.ndarray,
+                     losses: list[float], attack: AttackSpec | None, defense: str):
+    """Aggregate the update matrix, slot i holding ctx.selected[i]'s row.
+    `attack` is None unless active; then the crafted update overwrites the
+    malicious slots, whose contents are never read.
 
-    A round whose selected clients are all malicious while the attack is
-    active leaves nothing to craft from and nothing honest to aggregate, so
-    it keeps `current`. Returns (new params, RoundInfo)."""
+    A round whose selected clients are all malicious under an active attack
+    leaves nothing to craft from and nothing honest to aggregate, so it
+    keeps `current`. Returns (new params, RoundInfo)."""
     loss = float(np.mean(losses)) if losses else 0.0
     rule = round_rule(defense, ctx.m_round)
-    if not _attack_active(ctx, attack):
-        matrix = np.stack([rows[int(c)] for c in ctx.selected])
+    if attack is None:
         return aggregate(rule, matrix), RoundInfo(matrix, None, loss, None, None)
-    benign_ids = [int(c) for c in ctx.selected if int(c) not in ctx.malicious]
-    if not benign_ids:
+    if ctx.mask.all():
         nothing = np.empty((0, current.size))
         return current, RoundInfo(nothing, nothing, loss, None, None)
-    cols = BenignColumns(np.stack([rows[cid] for cid in benign_ids]))
+    cols = BenignColumns(matrix[~ctx.mask])
     try:
         vec, gamma, deviation = craft_round_update(attack, cols, ctx.m_round, rule)
     except FloatingPointError as e:
         raise FloatingPointError(f"round {ctx.round_no}: {e}") from e
     if vec.shape != current.shape:
         raise nn.ShapeError("crafted update does not match the aggregated parameters")
-    for cid in ctx.selected:
-        if int(cid) in ctx.malicious:
-            rows[int(cid)] = vec
-    matrix = np.stack([rows[int(c)] for c in ctx.selected])
+    matrix[ctx.mask] = vec
     new = _crafted_aggregate(rule, cols, ctx.m_round, vec, matrix)
     return new, RoundInfo(matrix, cols.rows, loss, gamma, deviation)
 
@@ -178,39 +181,39 @@ def run_fl_round(ctx: RoundContext, spec: nn.ModelSpec, global_params: np.ndarra
                  train: Dataset, part: Partition, batch_size: int, seed: int,
                  attack: AttackSpec, defense: str):
     """One fl round. Returns (new global params, RoundInfo)."""
-    active = _attack_active(ctx, attack)
-    rows = {}
+    attack = _active_attack(ctx, attack)
+    matrix = np.empty((ctx.selected.size, global_params.size))
     losses = []
-    for cid in ctx.selected:
-        cid = int(cid)
-        if active and cid in ctx.malicious:
-            continue  # their submission is replaced below; local work is moot
+    for i, cid in enumerate(ctx.selected.tolist()):
+        if attack is not None and ctx.mask[i]:
+            continue  # the crafted update fills this slot; local work is moot
+        matrix[i] = global_params
         batches = client_batches(part.shard(cid), batch_size, ctx.round_no, cid, seed)
-        new_params, loss = local_epoch(spec, global_params, train, batches, ctx.lr)
-        rows[cid] = new_params
-        losses.append(loss)
-    return _aggregate_round(ctx, rows, global_params, losses, attack, defense)
+        losses.append(local_epoch(spec, matrix[i], train, batches, ctx.lr))
+    return _aggregate_round(ctx, matrix, global_params, losses, attack, defense)
 
 
-def run_splitfed_round(ctx: RoundContext, model: split.SplitModel,
-                       client_global: np.ndarray, train: Dataset,
+def run_splitfed_round(ctx: RoundContext, model: split.SplitModel, train: Dataset,
                        part: Partition, batch_size: int, seed: int,
-                       attack: AttackSpec, defense: str):
-    """One splitfed round. The server portion inside `model` is updated in
-    place across clients (lowest id first); client portions are aggregated.
-    Returns (new client globals, RoundInfo)."""
-    rows = {}
+                       attack: AttackSpec, defense: str) -> RoundInfo:
+    """One splitfed round on `model`. Each client, lowest id first, starts
+    from the round's client half; the server half is updated in place across
+    clients. The aggregate of the client halves becomes the model's."""
+    start = model.client_params.copy()
+    matrix = np.empty((ctx.selected.size, start.size))
     losses = []
-    for cid in ctx.selected:
-        cid = int(cid)
-        model.client_params[...] = client_global
+    for i, cid in enumerate(ctx.selected.tolist()):
+        model.client_params[...] = start
         for batch_idx in client_batches(part.shard(cid), batch_size, ctx.round_no,
                                         cid, seed):
             x = train.features[batch_idx].reshape((-1,) + model.spec.input_shape)
             y = train.labels[batch_idx]
             losses.append(split.split_train_step(model, x, y, ctx.lr))
-        rows[cid] = model.client_params.copy()
-    return _aggregate_round(ctx, rows, client_global, losses, attack, defense)
+        matrix[i] = model.client_params
+    new, info = _aggregate_round(ctx, matrix, start, losses,
+                                 _active_attack(ctx, attack), defense)
+    model.client_params[...] = new
+    return info
 
 
 def evaluate(spec: nn.ModelSpec, params: np.ndarray, test: Dataset) -> float:
@@ -266,7 +269,7 @@ def train(config: "ExperimentConfig") -> list[RoundRecord]:
     if splitfed:
         cut = split.CutPoint(spec.cut_presets[config.cut])
         model = split.split_at(spec, params, cut)
-        client_global = model.client_params.copy()
+        params = model.params   # the rounds update it in place
     records = []
     for r in range(config.rounds):
         t0 = time.perf_counter()
@@ -274,21 +277,17 @@ def train(config: "ExperimentConfig") -> list[RoundRecord]:
                                   r, config.seed)
         ctx = RoundContext(r, selected, malicious, config.lr)
         if splitfed:
-            client_global, info = run_splitfed_round(
-                ctx, model, client_global, train_ds, part,
-                config.batch_size, config.seed, attack, config.defense)
-            model.client_params[...] = client_global
-            current = model.params
+            info = run_splitfed_round(ctx, model, train_ds, part, config.batch_size,
+                                      config.seed, attack, config.defense)
         else:
             params, info = run_fl_round(
                 ctx, spec, params, train_ds, part,
                 config.batch_size, config.seed, attack, config.defense)
-            current = params
-        if not np.isfinite(current).all():
+        if not np.isfinite(params).all():
             raise FloatingPointError(
                 f"round {r}: the parameters are not finite; the run diverged")
         if (r + 1) % config.eval_every == 0 or r == config.rounds - 1:
-            acc = evaluate(spec, current, test_ds)
+            acc = evaluate(spec, params, test_ds)
             records.append(RoundRecord(r, acc, info.loss, info.gamma,
                                        info.deviation,
                                        (time.perf_counter() - t0) * 1000.0))

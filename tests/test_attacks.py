@@ -444,6 +444,19 @@ def test_attack_spec_validation():
         AttackSpec(kind="agropt", start_round=-1)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_attack_arguments_are_rejected(bad):
+    """An infinite gamma_init or tau used to leave the halving step infinite,
+    so gamma_search never ended; a non-finite z crafted a non-finite row."""
+    for field in ("gamma_init", "tau", "z"):
+        with pytest.raises(ValueError, match=field):
+            AttackSpec(kind="agropt", **{field: bad})
+    benign = np.random.default_rng(0).normal(size=(4, 3))
+    for kwargs in ({"gamma_init": bad}, {"tau": bad}):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            gamma_search(benign, 1, "std", AggregationRule("median"), **kwargs)
+
+
 def test_craft_round_update_lie():
     spec = AttackSpec(kind="lie", z=0.5)
     u = _col(0.0, 2.0)

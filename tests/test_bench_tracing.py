@@ -3,6 +3,7 @@ that is renamed or deleted makes bench/tracing.py print "... is gone; ...
 reads 0" and report that metric as 0, so a refactor could otherwise zero a
 per-layer metric without failing a test."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -14,13 +15,55 @@ _IMPORT_AS_RUN_PY = f"""
 import sys
 sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "bench")!r}]
 import tracing
-print(len(tracing._hooks()))
 """
 
 
 def test_every_trace_hook_finds_its_function():
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_AS_RUN_PY],
+    proc = subprocess.run([sys.executable, "-c",
+                           _IMPORT_AS_RUN_PY + "print(len(tracing._hooks()))"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "is gone" not in proc.stderr, proc.stderr
     assert int(proc.stdout) > 0
+
+
+# A 2-round train per mode, the attack starting at round 1: round 0
+# aggregates the stacked rows, round 1 crafts through the gamma search.
+_TRACE_ATTACKED_TRAINS = _IMPORT_AS_RUN_PY + """
+import json
+from splitfedsim import protocol
+from splitfedsim.config import ExperimentConfig
+tracer = tracing.Tracer(sys.argv[1])
+calls = {}
+for mode in ("fl", "splitfed"):
+    tracer.pass_no += 1
+    config = ExperimentConfig(mode=mode, attack="agropt", attack_start_round=1,
+                              rounds=2, blob_per_class=50, n_clients=4,
+                              clients_per_round=4, partition="iid", defense="median")
+    with tracing.installed(tracer):
+        protocol.train(config)
+        tracer.flush("parent")
+    calls[mode] = tracing.summarize(sys.argv[1], tracer.pass_no).calls
+print(json.dumps(calls))
+"""
+
+_ROUND_SPANS = ("protocol.client_batches", "aggregation.round", "attacks.craft",
+                "attacks.gamma_search", "protocol.evaluate")
+_MODE_SPANS = {
+    "fl": ("protocol.local_epoch", "nn.grad"),
+    "splitfed": ("split.train_step", "split.client_forward", "split.server_step",
+                 "split.client_backward"),
+}
+
+
+def test_trace_sees_every_layer_the_round_loop_runs(tmp_path):
+    """A round loop that binds a traced name where the wrapper cannot reach
+    it would leave that layer without spans, and its metric would read 0."""
+    proc = subprocess.run([sys.executable, "-c", _TRACE_ATTACKED_TRAINS, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    for mode, spans in _MODE_SPANS.items():
+        assert calls[mode]["protocol.train"] == 1
+        missing = [s for s in _ROUND_SPANS + spans if calls[mode].get(s, 0) < 1]
+        assert not missing, (mode, missing)

@@ -188,6 +188,18 @@ def test_sweep_axis_without_values(capsys, axis):
     assert "NAME=V1,V2" in capsys.readouterr().err
 
 
+def test_sweep_repeated_axis_is_an_error(capsys):
+    assert main(["sweep", *TINY, "--axis", "seed=1,2", "--axis", "seed=3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'seed'" in err and "more than once" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_usage_error(capsys, jobs):
+    assert main(["sweep", *TINY, "--jobs", jobs]) == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     base = [
         "sweep", *TINY, "--set", "attack=lie", "--set", "rounds=2",

@@ -79,6 +79,14 @@ def test_malicious_count_range():
         ("seed", -1),
         ("attack_start_round", -2),
         ("lr", math.nan),
+        ("lr", math.inf),
+        ("dirichlet_alpha", math.inf),
+        ("blob_spread", math.inf),
+        ("agropt_gamma_init", math.inf),
+        ("agropt_tau", math.inf),
+        ("lie_z", math.inf),
+        ("lie_z", -math.inf),
+        ("lie_z", math.nan),
         ("blob_classes", 1),
         ("blob_dims", 1),
         ("blob_per_class", 4),

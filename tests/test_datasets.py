@@ -263,6 +263,13 @@ def test_partition_dirichlet_rejects_bad_alpha():
         partition_dirichlet(_toy_dataset(40), 4, alpha=-1.0, seed=0)
 
 
+@pytest.mark.parametrize("alpha", [np.inf, np.nan])
+def test_partition_dirichlet_rejects_non_finite_alpha(alpha):
+    # an infinite alpha draws NaN shares, which cast to a garbage split
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        partition_dirichlet(_toy_dataset(40), 4, alpha=alpha, seed=0)
+
+
 def test_partition_dirichlet_deterministic():
     ds = _toy_dataset(200)
     a = partition_dirichlet(ds, 10, alpha=0.3, seed=11)

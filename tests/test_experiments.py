@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from splitfedsim import experiments
 from splitfedsim.config import ConfigError, ExperimentConfig
 from splitfedsim.experiments import (
     CSV_HEADER,
@@ -116,6 +117,32 @@ def test_run_sweep_skips_infeasible_cells_with_reason():
     desc, reason = result.skipped[0]
     assert "trmean" in desc
     assert "trmean" in reason or "clients_per_round" in reason
+
+
+def test_run_sweep_pool_has_at_most_one_worker_per_run(monkeypatch):
+    """Under fork the pool launches all max_workers at once, so the pool
+    is capped at the number of runs. A serial stand-in records the cap;
+    no real pool is started."""
+    seen = []
+
+    class _SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+    cfg = _tiny_config(attack="lie", rounds=1)
+    result = run_sweep(cfg, {}, n_jobs=5000)   # one cell and its reference
+    assert seen == [2]
+    assert result == run_sweep(cfg, {})
 
 
 def test_run_sweep_unknown_axis():

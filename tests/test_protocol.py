@@ -81,6 +81,16 @@ def test_client_batches_reject_bad_batch_size():
         client_batches(np.arange(4), 0, 0, 0, 0)
 
 
+def test_round_context_mask_marks_malicious_slots_once():
+    ctx = RoundContext(0, np.array([1, 4, 6, 9]), frozenset({4, 9, 11}), lr=0.1)
+    np.testing.assert_array_equal(ctx.mask, [False, True, False, True])
+    assert ctx.mask is ctx.mask
+    assert ctx.m_round == 2
+    honest = RoundContext(0, np.array([1, 4]), frozenset(), lr=0.1)
+    assert honest.mask.dtype == bool and not honest.mask.any()
+    assert honest.m_round == 0
+
+
 def test_round_rule_trim_follows_round_count():
     assert round_rule("trmean", 3).trim_count == 3
     assert round_rule("trmean", 0).trim_count == 0
@@ -94,9 +104,10 @@ def test_round_rule_trim_follows_round_count():
 def test_local_epoch_no_batches_is_identity():
     spec = mlp_spec()
     params = nn.init_params(spec, 0)
+    before = params.copy()
     ds = _toy_data()
-    out, loss = local_epoch(spec, params, ds, [], lr=0.05)
-    np.testing.assert_array_equal(out, params)
+    loss = local_epoch(spec, params, ds, [], lr=0.05)
+    np.testing.assert_array_equal(params, before)
     assert loss == 0.0
 
 
@@ -105,12 +116,15 @@ def test_local_epoch_replays_sgd_exactly():
     params = nn.init_params(spec, 1)
     ds = _toy_data(seed=1)
     batches = client_batches(np.arange(len(ds)), 16, 0, 0, seed=2)
-    out, _ = local_epoch(spec, params, ds, batches, lr=0.05)
-    manual = params
+    out = params.copy()
+    loss = local_epoch(spec, out, ds, batches, lr=0.05)
+    manual, losses = params, []
     for idx in batches:
-        g, _ = nn.grad(spec, manual, ds.features[idx], ds.labels[idx])
+        g, batch_loss = nn.grad(spec, manual, ds.features[idx], ds.labels[idx])
         manual = nn.sgd_step(manual, g, 0.05)
+        losses.append(batch_loss)
     np.testing.assert_array_equal(out, manual)
+    assert loss == float(np.mean(losses))
 
 
 def test_local_epoch_and_fl_round_leave_global_params_unchanged():
@@ -119,9 +133,13 @@ def test_local_epoch_and_fl_round_leave_global_params_unchanged():
     params = nn.init_params(spec, 2)
     before = params.copy()
     for batches in ([], client_batches(np.arange(len(ds)), 16, 0, 0, seed=2)):
-        out, _ = local_epoch(spec, params, ds, batches, lr=0.05)
-        assert not np.shares_memory(out, params)
+        # local_epoch trains the matrix slot it is given, and nothing else
+        matrix = np.zeros((2, params.size))
+        matrix[1] = params
+        local_epoch(spec, matrix[1], ds, batches, lr=0.05)
         np.testing.assert_array_equal(params, before)
+        np.testing.assert_array_equal(matrix[0], np.zeros(params.size))
+        assert np.array_equal(matrix[1], before) == (not batches)
     # client 1's shard is empty, so its batch list is too
     part = Partition({0: np.arange(40), 1: np.array([], dtype=int)}, 2)
     ctx = RoundContext(0, np.array([0, 1]), frozenset(), lr=0.05)
@@ -131,6 +149,7 @@ def test_local_epoch_and_fl_round_leave_global_params_unchanged():
     np.testing.assert_array_equal(info.rows[1], before)
     for arr in (new_global, info.rows):
         assert not np.shares_memory(arr, params)
+    assert not np.shares_memory(new_global, info.rows)
 
 
 # ---------------------------------------------------------------- evaluate
@@ -182,7 +201,8 @@ def test_fl_round_single_client_is_centralized_epoch():
         attack=_no_attack(), defense="fedavg",
     )
     batches = client_batches(part.shard(0), 16, 0, 0, seed=7)
-    manual, _ = local_epoch(spec, params, ds, batches, lr=0.05)
+    manual = params.copy()
+    assert info.loss == local_epoch(spec, manual, ds, batches, lr=0.05)
     np.testing.assert_array_equal(new_global, manual)
     assert info.rows.shape == (1, nn.param_count(spec))
 
@@ -308,22 +328,36 @@ def _crafted_like(rng, benign):
     return [picks, specials, np.where(rng.random(d) < 0.5, picks, specials)]
 
 
+# a NaN whose payload no arithmetic here produces, so a stale slot shows
+_STALE_BITS = 0x7FF8_0000_DEAD_BEEF
+_STALE = np.array([_STALE_BITS], dtype=np.uint64).view(np.float64)[0]
+
+
 def _attacked_rounds(rng, nonfinite):
-    """(ctx, benign rows by id) for n benign and m = 1..n-1 malicious
-    clients, so n + m takes odd and even values, with the malicious ids
-    spread among the benign ones."""
+    """(ctx, update matrix) for n benign and m = 1..n-1 malicious clients,
+    so n + m takes odd and even values, with the malicious slots spread
+    among the benign ones. The malicious slots hold a stale NaN: the
+    crafted row must replace them before anything reads them."""
     for n in range(2, 8):
         for m in range(1, n):
             ids = np.arange(n + m)
             malicious = frozenset(int(c) for c in rng.choice(ids, size=m, replace=False))
+            ctx = RoundContext(0, ids, malicious, lr=0.1)
             benign = _tied_rows(rng, n, nonfinite)
-            rows = dict(zip((int(c) for c in ids if int(c) not in malicious), benign))
-            yield RoundContext(0, ids, malicious, lr=0.1), rows
+            matrix = np.full((n + m, benign.shape[1]), _STALE)
+            matrix[~ctx.mask] = benign
+            yield ctx, matrix
 
 
-def _assert_round_is_the_stacked_aggregate(ctx, rows, attack, defense):
-    current = np.zeros(next(iter(rows.values())).size)
-    new, info = _aggregate_round(ctx, dict(rows), current, [], attack, defense)
+def _assert_round_is_the_stacked_aggregate(ctx, matrix, attack, defense):
+    benign = matrix[~ctx.mask]
+    current = np.zeros(matrix.shape[1])
+    new, info = _aggregate_round(ctx, matrix.copy(), current, [], attack, defense)
+    assert info.benign_rows.tobytes() == benign.tobytes()
+    assert info.rows[~ctx.mask].tobytes() == benign.tobytes()
+    crafted = info.rows[ctx.mask]
+    assert crafted.tobytes() == np.tile(crafted[0], (ctx.m_round, 1)).tobytes()
+    assert not (info.rows.view(np.uint64) == _STALE_BITS).any()
     want = aggregate(round_rule(defense, ctx.m_round), info.rows)
     differ = [j for j in range(want.size) if new[j:j + 1].tobytes() != want[j:j + 1].tobytes()]
     assert not differ, (defense, ctx.m_round, differ, new[differ], want[differ])
@@ -335,25 +369,24 @@ def test_attacked_round_is_aggregate_of_its_rows_byte_for_byte(defense):
     attacks = [AttackSpec(kind="lie", z=1.5), AttackSpec(kind="lie", z=0.0)]
     attacks += [AttackSpec(kind="agropt", perturb=p) for p in ("std", "unit", "sign")]
     with np.errstate(invalid="ignore"):
-        for ctx, rows in _attacked_rounds(rng, nonfinite=False):
+        for ctx, matrix in _attacked_rounds(rng, nonfinite=False):
             for attack in attacks:
-                _assert_round_is_the_stacked_aggregate(ctx, rows, attack, defense)
+                _assert_round_is_the_stacked_aggregate(ctx, matrix, attack, defense)
         # a non-finite benign value makes every agropt deviation NaN
-        for ctx, rows in _attacked_rounds(rng, nonfinite=True):
-            _assert_round_is_the_stacked_aggregate(ctx, rows, attacks[0], defense)
+        for ctx, matrix in _attacked_rounds(rng, nonfinite=True):
+            _assert_round_is_the_stacked_aggregate(ctx, matrix, attacks[0], defense)
 
 
 @pytest.mark.parametrize("defense", ["fedavg", "trmean", "median"])
 def test_any_crafted_row_aggregates_byte_for_byte(defense, monkeypatch):
     rng = np.random.default_rng(22)
     with np.errstate(invalid="ignore"):
-        for ctx, rows in _attacked_rounds(rng, nonfinite=True):
-            benign = np.stack(list(rows.values()))
-            for crafted in _crafted_like(rng, benign):
+        for ctx, matrix in _attacked_rounds(rng, nonfinite=True):
+            for crafted in _crafted_like(rng, matrix[~ctx.mask]):
                 monkeypatch.setattr(protocol, "craft_round_update",
                                     lambda *args, vec=crafted: (vec, None, None))
                 _assert_round_is_the_stacked_aggregate(
-                    ctx, rows, AttackSpec(kind="lie"), defense)
+                    ctx, matrix, AttackSpec(kind="lie"), defense)
 
 
 # ---------------------------------------------------------------- splitfed rounds
@@ -366,19 +399,17 @@ def test_splitfed_round_single_client_is_centralized():
     params = nn.init_params(spec, 8)
     for cut_name in ("v1", "v2", "v3"):
         model = split.split_at(spec, params, split.CutPoint(spec.cut_presets[cut_name]))
-        client_global = model.client_params.copy()
         ctx = RoundContext(0, np.array([0]), frozenset(), lr=0.05)
-        new_client, _ = run_splitfed_round(
-            ctx, model, client_global, ds, part, batch_size=16, seed=11,
+        info = run_splitfed_round(
+            ctx, model, ds, part, batch_size=16, seed=11,
             attack=_no_attack(), defense="fedavg",
         )
         manual = params
         for idx in client_batches(part.shard(0), 16, 0, 0, seed=11):
             g, _ = nn.grad(spec, manual, ds.features[idx], ds.labels[idx])
             manual = nn.sgd_step(manual, g, 0.05)
-        np.testing.assert_array_equal(
-            np.concatenate([new_client, model.server_params]), manual
-        )
+        np.testing.assert_array_equal(model.params, manual)
+        np.testing.assert_array_equal(info.rows[0], model.client_params)
 
 
 def test_splitfed_attack_space_tracks_cut():
@@ -391,9 +422,7 @@ def test_splitfed_attack_space_tracks_cut():
     for cut_name, dim in expected_dims.items():
         model = split.split_at(spec, params, split.CutPoint(spec.cut_presets[cut_name]))
         ctx = RoundContext(0, np.arange(5), frozenset({4}), lr=0.05)
-        _, info = run_splitfed_round(
-            ctx, model, model.client_params.copy(), ds, part, 16, 13, attack, "median",
-        )
+        info = run_splitfed_round(ctx, model, ds, part, 16, 13, attack, "median")
         assert info.rows.shape == (5, dim)
         assert info.gamma is not None
 
@@ -409,12 +438,13 @@ def test_splitfed_malicious_training_still_feeds_server():
     model_attacked = split.split_at(spec, params, split.CutPoint(4))
     model_clean = split.split_at(spec, params, split.CutPoint(4))
     ctx = RoundContext(0, np.arange(4), frozenset({1}), lr=0.05)
-    run_splitfed_round(ctx, model_attacked, model_attacked.client_params.copy(),
-                       ds, part, 16, 5, AttackSpec(kind="lie", start_round=0), "median")
+    run_splitfed_round(ctx, model_attacked, ds, part, 16, 5,
+                       AttackSpec(kind="lie", start_round=0), "median")
     ctx2 = RoundContext(0, np.arange(4), frozenset({1}), lr=0.05)
-    run_splitfed_round(ctx2, model_clean, model_clean.client_params.copy(),
-                       ds, part, 16, 5, _no_attack(), "median")
+    run_splitfed_round(ctx2, model_clean, ds, part, 16, 5, _no_attack(), "median")
     np.testing.assert_array_equal(model_attacked.server_params, model_clean.server_params)
+    # only the forged submission differs, so only the client halves do
+    assert not np.array_equal(model_attacked.client_params, model_clean.client_params)
 
 
 def test_splitfed_round_all_malicious_active_keeps_client_global():
@@ -427,10 +457,10 @@ def test_splitfed_round_all_malicious_active_keeps_client_global():
         model = split.split_at(spec, params, split.CutPoint(4))
         client_global = model.client_params.copy()
         server_before = model.server_params.copy()
-        new_client, info = run_splitfed_round(ctx, model, client_global, ds, part,
-                                              16, 5, attack, "trmean")
-        np.testing.assert_array_equal(new_client, client_global)
+        info = run_splitfed_round(ctx, model, ds, part, 16, 5, attack, "trmean")
+        np.testing.assert_array_equal(model.client_params, client_global)
         assert info.gamma is None and info.deviation is None
+        assert info.rows.shape == (0, client_global.size)
         # the malicious clients still ran the split protocol with the server
         assert not np.array_equal(model.server_params, server_before)
 
@@ -442,10 +472,10 @@ def test_splitfed_round_all_malicious_inactive_aggregates_honest_rows():
     params = nn.init_params(spec, 10)
     model = split.split_at(spec, params, split.CutPoint(4))
     ctx = RoundContext(0, np.array([0, 3]), frozenset({0, 3}), lr=0.05)
-    new_client, info = run_splitfed_round(ctx, model, model.client_params.copy(), ds,
-                                          part, 16, 5, _no_attack(), "median")
+    info = run_splitfed_round(ctx, model, ds, part, 16, 5, _no_attack(), "median")
     assert info.rows.shape == (2, model.client_params.size)
-    np.testing.assert_array_equal(new_client, (info.rows[0] + info.rows[1]) / 2.0)
+    np.testing.assert_array_equal(model.client_params,
+                                  (info.rows[0] + info.rows[1]) / 2.0)
 
 
 def test_splitfed_round_does_not_alias_its_inputs_or_rows():
@@ -453,22 +483,27 @@ def test_splitfed_round_does_not_alias_its_inputs_or_rows():
     ds = _toy_data(n=60, seed=9)
     part = partition_iid(ds, 5, seed=3)
     params = nn.init_params(spec, 9)
+    before = params.copy()
     for attack in (_no_attack(), AttackSpec(kind="agropt", start_round=0)):
         model = split.split_at(spec, params, split.CutPoint(spec.cut_presets["v2"]))
-        client_global = model.client_params.copy()
-        before = client_global.copy()
+        client_half = model.client_params
         ctx = RoundContext(0, np.arange(5), frozenset({4}), lr=0.05)
-        new_client, info = run_splitfed_round(ctx, model, client_global, ds, part,
-                                              16, 13, attack, "median")
-        np.testing.assert_array_equal(client_global, before)
+        info = run_splitfed_round(ctx, model, ds, part, 16, 13, attack, "median")
+        np.testing.assert_array_equal(params, before)
+        # the aggregate lands in the model's own fixed view of its buffer
+        assert model.client_params is client_half
+        assert np.shares_memory(model.client_params, model.params)
+        np.testing.assert_array_equal(
+            model.client_params, aggregate(round_rule("median", 1), info.rows))
         rows = info.rows
         for i in range(len(rows)):
-            assert not np.shares_memory(rows[i], model.client_params)
-            assert not np.shares_memory(rows[i], client_global)
+            assert not np.shares_memory(rows[i], model.params)
+            assert not np.shares_memory(rows[i], params)
             for j in range(i + 1, len(rows)):
                 assert not np.shares_memory(rows[i], rows[j])
-        assert not np.shares_memory(new_client, model.client_params)
-        assert not np.shares_memory(new_client, client_global)
+        if info.benign_rows is not None:
+            assert not np.shares_memory(info.benign_rows, rows)
+            assert not np.shares_memory(info.benign_rows, model.params)
 
 
 # ---------------------------------------------------------------- train loop
