@@ -63,8 +63,8 @@ def gen_blobs(seed: int, num_classes: int = 4, dims: int = 8,
         raise ValueError("need at least 2 feature dimensions")
     if samples_per_class < 5:
         raise ValueError("need at least 5 samples per class for the 80/20 split")
-    if spread <= 0:
-        raise ValueError("spread must be positive")
+    if not (spread > 0 and math.isfinite(spread)):
+        raise ValueError(f"spread must be positive and finite, got {spread}")
     rng = np.random.default_rng(seed)
     # centers share a common direction component so every pair sits at the
     # same angle: cos = CENTER_COS. That pins the class margin instead of
@@ -167,14 +167,7 @@ def partition_iid(ds: Dataset, n_clients: int, seed: int) -> Partition:
     if n_clients < 1 or n_clients > n:
         raise ValueError(f"cannot split {n} samples over {n_clients} clients")
     order = np.random.default_rng(seed).permutation(n)
-    base, extra = divmod(n, n_clients)
-    assignments = {}
-    off = 0
-    for cid in range(n_clients):
-        size = base + (1 if cid < extra else 0)
-        assignments[cid] = order[off:off + size]
-        off += size
-    return Partition(assignments, n_clients)
+    return Partition(dict(enumerate(np.array_split(order, n_clients))), n_clients)
 
 
 def partition_dirichlet(ds: Dataset, n_clients: int, alpha: float,

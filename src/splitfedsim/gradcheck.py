@@ -38,9 +38,8 @@ def relative_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 def near_kink(spec: nn.ModelSpec, params: np.ndarray, batch: np.ndarray) -> bool:
     """True when any ReLU input or pooling margin is within _KINK_EPS of its
     non-differentiable point for this batch."""
-    cache = nn.forward(spec, params, batch)
-    for i, layer in enumerate(spec.layers):
-        x = cache.activations[i]
+    acts, _ = nn.segment_forward(spec.layers, nn.unflatten_params(spec, params), batch)
+    for layer, x in zip(spec.layers, acts):
         if isinstance(layer, nn.ReLU):
             if np.any(np.abs(x) < _KINK_EPS):
                 return True
@@ -57,21 +56,21 @@ def near_kink(spec: nn.ModelSpec, params: np.ndarray, batch: np.ndarray) -> bool
 
 
 _MODEL_POOL = [
-    ("dense pair", lambda rng: nn.ModelSpec(
+    ("dense pair", lambda: nn.ModelSpec(
         (nn.Dense(3, 5), nn.ReLU(), nn.Dense(5, 3)), (3,), 3)),
-    ("dense deep", lambda rng: nn.ModelSpec(
+    ("dense deep", lambda: nn.ModelSpec(
         (nn.Dense(4, 6), nn.ReLU(), nn.Dense(6, 6), nn.ReLU(), nn.Dense(6, 2)),
         (4,), 2)),
-    ("conv head", lambda rng: nn.ModelSpec(
+    ("conv head", lambda: nn.ModelSpec(
         (nn.Conv2d(1, 2, 3, 1, 1), nn.ReLU(), nn.Flatten(), nn.Dense(32, 3)),
         (1, 4, 4), 3)),
-    ("conv pool", lambda rng: nn.ModelSpec(
+    ("conv pool", lambda: nn.ModelSpec(
         (nn.Conv2d(1, 2, 3, 1, 1), nn.ReLU(), nn.MaxPool2d(2), nn.Flatten(),
          nn.Dense(8, 2)), (1, 4, 4), 2)),
-    ("conv stride", lambda rng: nn.ModelSpec(
+    ("conv stride", lambda: nn.ModelSpec(
         (nn.Conv2d(2, 2, 2, 2, 0), nn.ReLU(), nn.Flatten(), nn.Dense(8, 2)),
         (2, 4, 4), 2)),
-    ("conv stack", lambda rng: nn.ModelSpec(
+    ("conv stack", lambda: nn.ModelSpec(
         (nn.Conv2d(1, 2, 3, 1, 1), nn.ReLU(), nn.MaxPool2d(2),
          nn.Conv2d(2, 3, 3, 1, 1), nn.ReLU(), nn.MaxPool2d(2), nn.Flatten(),
          nn.Dense(3 * 2 * 2, 2)), (1, 8, 8), 2)),
@@ -83,7 +82,7 @@ def make_instance(index: int, seed: int):
     batch is resampled until it sits away from every kink."""
     name, build = _MODEL_POOL[index % len(_MODEL_POOL)]
     rng = np.random.default_rng([seed, index])
-    spec = build(rng)
+    spec = build()
     bsz = int(rng.integers(2, 5))
     for _ in range(100):
         # jittered biases keep pre-activations off the exact ReLU kink that

@@ -259,9 +259,6 @@ class ModelSpec:
     def layout(self) -> Layout:
         return self._layout
 
-    def __len__(self) -> int:
-        return len(self.layers)
-
 
 # ---------------------------------------------------------------------------
 # flat parameter vector layout
@@ -302,16 +299,12 @@ def param_count(spec: ModelSpec) -> int:
     return spec.layout.size
 
 
-def unflatten_segment(layers: tuple[Layer, ...], vec: np.ndarray) -> list[list[np.ndarray]]:
-    """Views of the flat vector as per-layer tensors (no copies)."""
-    layout = segment_layout(tuple(layers))
-    if vec.shape != (layout.size,):
-        raise ShapeError(f"parameter vector has shape {vec.shape}, expected ({layout.size},)")
-    return layout.views(vec)
-
-
 def unflatten_params(spec: ModelSpec, vec: np.ndarray) -> list[list[np.ndarray]]:
-    return unflatten_segment(spec.layers, vec)
+    """Views of the flat vector as per-layer tensors (no copies)."""
+    size = spec.layout.size
+    if vec.shape != (size,):
+        raise ShapeError(f"parameter vector has shape {vec.shape}, expected ({size},)")
+    return spec.layout.views(vec)
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
@@ -373,27 +366,12 @@ def segment_backward(layers: tuple[Layer, ...], tensors: list[list[np.ndarray]],
     return grads, dout
 
 
-@dataclass
-class ForwardCache:
-    """Activations and pooling/conv scratch kept for the backward pass."""
-    activations: list[np.ndarray]
-    aux: dict[int, object]
-
-    @property
-    def logits(self) -> np.ndarray:
-        return self.activations[-1]
-
-    @property
-    def batch_size(self) -> int:
-        return self.activations[0].shape[0]
-
-
-def forward(spec: ModelSpec, params: np.ndarray, batch: np.ndarray) -> ForwardCache:
-    """Full forward pass; batch is (B, *input_shape)."""
+def forward(spec: ModelSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """Full forward pass; batch is (B, *input_shape). Returns the logits."""
     batch = _check_batch(batch, spec.input_shape)
     tensors = unflatten_params(spec, params)
-    acts, aux = segment_forward(spec.layers, tensors, batch)
-    return ForwardCache(acts, aux)
+    acts, _ = segment_forward(spec.layers, tensors, batch)
+    return acts[-1]
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -434,56 +412,36 @@ def _check_labels(labels: np.ndarray, num_classes: int, batch_size: int) -> np.n
     return labels
 
 
-def backward(spec: ModelSpec, params: np.ndarray, cache: ForwardCache,
-             labels: np.ndarray):
-    """Returns (flat gradient, gradient wrt the input batch, loss)."""
-    labels = _check_labels(labels, spec.num_classes, cache.batch_size)
-    return _backward(spec, unflatten_params(spec, params), cache, labels)
-
-
-def _backward(spec: ModelSpec, tensors: list[list[np.ndarray]],
-              cache: ForwardCache, labels: np.ndarray, input_grad: bool = True):
-    """backward from parameter views and checked labels; the gradient is a
-    fresh flat vector that each layer writes its slice of."""
-    loss, dlogits = softmax_cross_entropy(cache.logits, labels)
-    g = np.empty(spec.layout.size)
-    _, dx = segment_backward(spec.layers, tensors, cache.activations, cache.aux,
-                             dlogits, spec.layout.views(g), input_grad)
-    return g, dx, loss
-
-
-def loss_value(spec: ModelSpec, params: np.ndarray, batch: np.ndarray,
-               labels: np.ndarray) -> float:
-    cache = forward(spec, params, batch)
-    labels = _check_labels(labels, spec.num_classes, cache.batch_size)
-    loss, _ = softmax_cross_entropy(cache.logits, labels)
-    return loss
-
-
 def grad(spec: ModelSpec, params: np.ndarray, batch: np.ndarray,
          labels: np.ndarray):
-    """forward + backward on one view of params. Returns (flat gradient, loss)."""
+    """forward + backward on one view of params. Returns (flat gradient, loss);
+    each layer writes its slice of the fresh gradient, and layer 0 stops at
+    its parameter gradients (nobody reads the input gradient)."""
     batch = _check_batch(batch, spec.input_shape)
     tensors = unflatten_params(spec, params)
     acts, aux = segment_forward(spec.layers, tensors, batch)
     labels = _check_labels(labels, spec.num_classes, batch.shape[0])
-    g, _, loss = _backward(spec, tensors, ForwardCache(acts, aux), labels,
-                           input_grad=False)
+    loss, dlogits = softmax_cross_entropy(acts[-1], labels)
+    g = np.empty(spec.layout.size)
+    segment_backward(spec.layers, tensors, acts, aux, dlogits,
+                     spec.layout.views(g), input_grad=False)
     return g, loss
 
 
 def finite_diff_grad(spec: ModelSpec, params: np.ndarray, batch: np.ndarray,
                      labels: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Central-difference gradient of the loss, one coordinate at a time."""
-    if h <= 0:
-        raise ValueError("step size h must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"step size h must be positive and finite, got {h}")
+    batch = _check_batch(batch, spec.input_shape)
+    labels = _check_labels(labels, spec.num_classes, batch.shape[0])
     g = np.zeros_like(params)
     for i in range(params.size):
         p = params.copy()
         p[i] = params[i] + h
-        lp = loss_value(spec, p, batch, labels)
+        lp, _ = softmax_cross_entropy(forward(spec, p, batch), labels)
         p[i] = params[i] - h
-        lm = loss_value(spec, p, batch, labels)
+        lm, _ = softmax_cross_entropy(forward(spec, p, batch), labels)
         g[i] = (lp - lm) / (2 * h)
     return g
 
@@ -492,8 +450,8 @@ def _check_sgd(params: np.ndarray, grad_vec: np.ndarray, lr: float) -> None:
     if params.shape != grad_vec.shape:
         raise ShapeError(
             f"gradient shape {grad_vec.shape} does not match params {params.shape}")
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ValueError(f"learning rate must be positive and finite, got {lr}")
 
 
 def sgd_step(params: np.ndarray, grad_vec: np.ndarray, lr: float) -> np.ndarray:

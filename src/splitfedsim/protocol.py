@@ -13,8 +13,11 @@ aggregation rule. Poisoning therefore acts on the client portion alone, which
 is what makes the cut position matter. The SplitModel is splitfed's only
 state: every client starts from its client half, which takes the aggregate.
 
-Every random choice is derived from the experiment seed with a purpose tag,
-so a config determines the full history bit for bit.
+Every random choice comes from a fresh generator seeded from the experiment
+seed, so a config determines the full history bit for bit. The keys are not
+all distinct: the datasets, the partition and the initial parameters each
+open default_rng(seed), and sample_clients opens [seed, round_no], which at
+round 1 is pick_malicious's key.
 """
 from __future__ import annotations
 
@@ -36,7 +39,8 @@ from .models import build_model
 if TYPE_CHECKING:
     from .config import ExperimentConfig
 
-# rng stream tags, so no two purposes share a stream
+# rng key tags of pick_malicious and client_batches (sample_clients' round 1
+# key equals pick_malicious's; see the module docstring)
 _TAG_MALICIOUS = 1
 _TAG_BATCHES = 2
 
@@ -221,7 +225,7 @@ def evaluate(spec: nn.ModelSpec, params: np.ndarray, test: Dataset) -> float:
     if len(test) == 0:
         raise ValueError("test set is empty")
     x = test.features.reshape((-1,) + spec.input_shape)
-    logits = nn.forward(spec, params, x).logits
+    logits = nn.forward(spec, params, x)
     return float(np.mean(logits.argmax(axis=1) == test.labels))
 
 

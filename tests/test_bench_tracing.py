@@ -67,3 +67,37 @@ def test_trace_sees_every_layer_the_round_loop_runs(tmp_path):
         assert calls[mode]["protocol.train"] == 1
         missing = [s for s in _ROUND_SPANS + spans if calls[mode].get(s, 0) < 1]
         assert not missing, (mode, missing)
+
+
+# The kernel table of every workload, checked against BENCHMARK.json's
+# per-layer kernel names
+_KERNEL_TABLES = _IMPORT_AS_RUN_PY + """
+import json
+import kernels
+import workloads
+print(json.dumps({name: sorted(kernels.kernel_table(w.config(42), 0))
+                  for name, w in workloads.WORKLOADS.items()}))
+"""
+
+
+def test_every_benchmark_entry_point_runs_on_the_current_api():
+    """bench/setup_probe.py and bench/kernels.py call nn, split and protocol
+    directly; a deleted or renamed name there would fail only at benchmark
+    time."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    for name in workloads:
+        proc = subprocess.run([sys.executable, str(ROOT / "bench" / "setup_probe.py"),
+                               name, "42"], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) > 0
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_TABLES],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    tables = json.loads(proc.stdout)
+    assert sorted(tables) == sorted(workloads)
+    wanted = [m["name"] for m in spec["per_layer"] if ".kernel." in m["name"]]
+    assert wanted
+    for name, table in tables.items():
+        missing = [m for m in wanted if m not in table]
+        assert not missing, (name, missing)

@@ -71,8 +71,9 @@ def test_gen_blobs_input_validation():
         gen_blobs(0, num_classes=1)
     with pytest.raises(ValueError):
         gen_blobs(0, dims=1)
-    with pytest.raises(ValueError):
-        gen_blobs(0, spread=0.0)
+    for spread in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="spread must be positive and finite"):
+            gen_blobs(0, spread=spread)
     with pytest.raises(ValueError):
         gen_blobs(0, samples_per_class=2)
 

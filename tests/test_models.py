@@ -61,7 +61,7 @@ def test_cnn_forward_runs():
     p = init_params(spec, 0)
     from splitfedsim.nn import forward
 
-    logits = forward(spec, p, np.zeros((2, 1, 8, 8))).logits
+    logits = forward(spec, p, np.zeros((2, 1, 8, 8)))
     assert logits.shape == (2, 4)
 
 

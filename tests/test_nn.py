@@ -17,13 +17,11 @@ from splitfedsim.nn import (
     ModelSpec,
     ReLU,
     ShapeError,
-    backward,
     finite_diff_grad,
     forward,
     grad,
     infer_shapes,
     init_params,
-    loss_value,
     param_count,
     segment_backward,
     segment_forward,
@@ -33,7 +31,6 @@ from splitfedsim.nn import (
     sgd_update,
     softmax_cross_entropy,
     unflatten_params,
-    unflatten_segment,
 )
 
 
@@ -162,19 +159,19 @@ def test_layout_matches_walk_on_every_prefix_and_suffix(spec):
         slots, size = _walk_slots(seg)
         assert segment_param_count(seg) == size
         vec = np.arange(size, dtype=float)
-        views = unflatten_segment(seg, vec)
+        views = segment_layout(seg).views(vec)
         assert [len(g) for g in views] == [len(g) for g in slots]
         for group, expect in zip(views, slots):
             for t, (a, b, shape) in zip(group, expect):
                 assert t.shape == shape
                 assert np.shares_memory(t, vec)
                 np.testing.assert_array_equal(t.ravel(), vec[a:b])
-        for bad in ([np.zeros(size + 1), np.zeros((1, size))]
-                    + ([np.zeros(size - 1)] if size else [])):
-            msg = f"parameter vector has shape {bad.shape}, expected ({size},)"
-            with pytest.raises(ShapeError, match=re.escape(msg)):
-                unflatten_segment(seg, bad)
-    assert param_count(spec) == _walk_slots(spec.layers)[1]
+    size = _walk_slots(spec.layers)[1]
+    assert param_count(spec) == size
+    for bad in (np.zeros(size + 1), np.zeros((1, size)), np.zeros(size - 1)):
+        msg = f"parameter vector has shape {bad.shape}, expected ({size},)"
+        with pytest.raises(ShapeError, match=re.escape(msg)):
+            unflatten_params(spec, bad)
     for layer in spec.layers:
         assert segment_param_count((layer,)) == _walk_slots((layer,))[1]
 
@@ -185,8 +182,9 @@ def test_layout_matches_walk_on_every_prefix_and_suffix(spec):
 def test_forward_dense_hand_value():
     spec = ModelSpec(layers=(Dense(2, 1),), input_shape=(2,), num_classes=1)
     params = np.array([1.0, 1.0, 0.0])  # weights (2x1) then bias
-    cache = forward(spec, params, np.array([[1.0, 2.0]]))
-    np.testing.assert_array_equal(cache.logits, [[3.0]])
+    logits = forward(spec, params, np.array([[1.0, 2.0]]))
+    assert type(logits) is np.ndarray
+    np.testing.assert_array_equal(logits, [[3.0]])
 
 
 def test_maxpool_hand_value():
@@ -221,7 +219,7 @@ def test_forward_deterministic():
     spec = _small_mlp()
     p = init_params(spec, 1)
     x = np.random.default_rng(1).normal(size=(5, 3))
-    np.testing.assert_array_equal(forward(spec, p, x).logits, forward(spec, p, x).logits)
+    np.testing.assert_array_equal(forward(spec, p, x), forward(spec, p, x))
 
 
 # ---------------------------------------------------------------- loss/backward
@@ -232,7 +230,7 @@ def test_zero_weight_net_uniform_loss():
     params = np.zeros(param_count(spec))
     x = np.array([[0.3, -0.1], [1.0, 2.0]])
     labels = np.array([0, 1])
-    assert loss_value(spec, params, x, labels) == pytest.approx(np.log(2.0), rel=1e-12)
+    assert grad(spec, params, x, labels)[1] == pytest.approx(np.log(2.0), rel=1e-12)
 
 
 def test_loss_nonnegative_and_finite():
@@ -242,7 +240,7 @@ def test_loss_nonnegative_and_finite():
         p = init_params(spec, int(rng.integers(1 << 30)))
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 4, size=6)
-        loss = loss_value(spec, p, x, y)
+        _, loss = grad(spec, p, x, y)
         assert np.isfinite(loss) and loss >= 0.0
 
 
@@ -252,8 +250,7 @@ def test_confident_correct_logits_vanishing_loss_and_grad():
     params = np.array([50.0, -50.0, 0.0, 0.0, 0.0, 0.0])
     x = np.array([[1.0, 0.0]])
     labels = np.array([0])
-    cache = forward(spec, params, x)
-    g, _, loss = backward(spec, params, cache, labels)
+    g, loss = grad(spec, params, x, labels)
     assert loss < 1e-9
     assert np.linalg.norm(g) < 1e-9
 
@@ -269,13 +266,14 @@ def test_softmax_cross_entropy_gradient_rows_sum_to_zero():
 def test_backward_rejects_label_problems():
     spec = _dense_spec(2, 2)
     p = init_params(spec, 0)
-    cache = forward(spec, p, np.zeros((2, 2)))
-    with pytest.raises(ShapeError):
-        backward(spec, p, cache, np.array([0]))  # batch-size mismatch
-    with pytest.raises(ShapeError):
-        backward(spec, p, cache, np.array([0.0, 1.0]))  # non-integer
-    with pytest.raises(ShapeError):
-        backward(spec, p, cache, np.array([0, 2]))  # out of range
+    x = np.zeros((2, 2))
+    for bad in (np.array([0]),          # batch-size mismatch
+                np.array([0.0, 1.0]),   # non-integer
+                np.array([0, 2])):      # out of range
+        with pytest.raises(ShapeError):
+            grad(spec, p, x, bad)
+        with pytest.raises(ShapeError):
+            finite_diff_grad(spec, p, x, bad)
 
 
 # ---------------------------------------------------------------- grad oracle
@@ -322,16 +320,28 @@ def test_dense_1x1_analytic_vs_numeric_tight():
 def test_finite_diff_requires_positive_h():
     spec = _dense_spec()
     p = init_params(spec, 0)
-    with pytest.raises(ValueError):
-        finite_diff_grad(spec, p, np.zeros((1, 2)), np.array([0]), h=0.0)
+    for h in (0.0, -1e-4, np.nan, np.inf):
+        with pytest.raises(ValueError, match="step size h"):
+            finite_diff_grad(spec, p, np.zeros((1, 2)), np.array([0]), h=h)
+
+
+def _backward_to_input(spec, p, x, y):
+    """(flat gradient, gradient wrt x, loss) by segment_backward with
+    input_grad=True, the path server_step runs at the cut."""
+    tensors = unflatten_params(spec, p)
+    acts, aux = segment_forward(spec.layers, tensors, x)
+    loss, dlogits = softmax_cross_entropy(acts[-1], y)
+    g = np.empty(param_count(spec))
+    _, dx = segment_backward(spec.layers, tensors, acts, aux, dlogits,
+                             segment_layout(spec.layers).views(g))
+    return g, dx, loss
 
 
 def test_input_gradient_shape_matches_batch():
     spec = _small_mlp()
     p = init_params(spec, 5)
     x = np.random.default_rng(5).normal(size=(3, 3))
-    cache = forward(spec, p, x)
-    _, dx, _ = backward(spec, p, cache, np.array([0, 1, 2]))
+    _, dx, _ = _backward_to_input(spec, p, x, np.array([0, 1, 2]))
     assert dx.shape == x.shape
 
 
@@ -359,7 +369,7 @@ def test_preset_params_and_gradients_are_pinned(name, build):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((32,) + spec.input_shape)
     y = rng.integers(0, spec.num_classes, size=32)
-    g, dx, _ = backward(spec, p, forward(spec, p, x), y)
+    g, dx, _ = _backward_to_input(spec, p, x, y)
     np.testing.assert_array_equal(grad(spec, p, x, y)[0], g)
     assert (_sha256(p), _sha256(g), _sha256(dx)) == PRESET_DIGESTS[name]
 
@@ -395,15 +405,15 @@ def test_grad_stops_at_layer_0_with_the_bits_of_backward(build):
         x = rng.normal(size=(bsz,) + spec.input_shape)
         y = rng.integers(0, spec.num_classes, size=bsz)
         g, loss = grad(spec, p, x, y)
-        cache = forward(spec, p, x)
-        want, dx, want_loss = backward(spec, p, cache, y)
+        want, dx, want_loss = _backward_to_input(spec, p, x, y)
         assert g.tobytes() == want.tobytes()
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert dx.shape == x.shape
-        _, dlogits = softmax_cross_entropy(cache.logits, y)
+        tensors = unflatten_params(spec, p)
+        acts, aux = segment_forward(spec.layers, tensors, x)
+        _, dlogits = softmax_cross_entropy(acts[-1], y)
         flat = np.empty(param_count(spec))
-        _, none = segment_backward(spec.layers, unflatten_params(spec, p),
-                                   cache.activations, cache.aux, dlogits,
+        _, none = segment_backward(spec.layers, tensors, acts, aux, dlogits,
                                    segment_layout(spec.layers).views(flat),
                                    input_grad=False)
         assert none is None
@@ -466,8 +476,9 @@ def test_sgd_two_half_steps_equal_one_full():
 def test_sgd_rejects_mismatch_and_bad_lr():
     with pytest.raises(ShapeError):
         sgd_step(np.zeros(3), np.zeros(2), 0.1)
-    with pytest.raises(ValueError):
-        sgd_step(np.zeros(2), np.zeros(2), 0.0)
+    for lr in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning rate"):
+            sgd_step(np.zeros(2), np.ones(2), lr)
 
 
 def test_sgd_update_in_place_matches_sgd_step_bits():
@@ -480,5 +491,7 @@ def test_sgd_update_in_place_matches_sgd_step_bits():
     np.testing.assert_array_equal(q, expect)
     with pytest.raises(ShapeError):
         sgd_update(q, np.zeros(3), 0.1)
-    with pytest.raises(ValueError):
-        sgd_update(q, g, 0.0)
+    for lr in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning rate"):
+            sgd_update(q, g, lr)
+    np.testing.assert_array_equal(q, expect)

@@ -94,8 +94,8 @@ def test_split_rejects_wrong_param_length():
 def test_client_forward_matches_full_model_prefix():
     spec, params, model, x, y = _mlp_setup()
     smashed = client_forward(model, x, y)
-    cache = nn.forward(spec, params, x)
-    np.testing.assert_array_equal(smashed.activations, cache.activations[model.cut.layer_index])
+    acts, _ = nn.segment_forward(spec.layers, nn.unflatten_params(spec, params), x)
+    np.testing.assert_array_equal(smashed.activations, acts[model.cut.layer_index])
     assert smashed.activations.shape[0] == 6
 
 
@@ -134,7 +134,7 @@ def test_server_loss_equals_full_model_loss():
     spec, params, model, x, y = _mlp_setup()
     smashed = client_forward(model, x, y)
     _, _, loss = server_step(model, smashed, lr=0.05)
-    assert loss == nn.loss_value(spec, params, x, y)
+    assert loss == nn.grad(spec, params, x, y)[1]
 
 
 def test_split_steps_reject_non_positive_lr_and_leave_both_halves():
@@ -165,8 +165,7 @@ def test_server_step_gradients_computed_before_update():
 def test_split_gradient_concat_equals_full_gradient():
     for cut_name in ("v1", "v2", "v3"):
         spec, params, model, x, y = _mlp_setup(cut_name)
-        cache = nn.forward(spec, params, x)
-        full_grad, _, _ = nn.backward(spec, params, cache, y)
+        full_grad, _ = nn.grad(spec, params, x, y)
         offset = model.client_params.size
 
         smashed = client_forward(model, x, y)
