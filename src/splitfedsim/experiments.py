@@ -197,7 +197,9 @@ def choose_sweep_axis(rows: list[SweepRow]) -> str:
 def plot_drop_curve(rows: list[SweepRow], axis: str, out_path: str,
                     title: str = "accuracy drop") -> None:
     """Mean acc_drop (over seeds/other fields) against one sweep axis, as a
-    self-contained SVG line chart."""
+    self-contained SVG line chart. The y axis starts at 0, or below the
+    lowest mean when a mean is negative (an attacked run beat its reference),
+    with a dashed line at 0."""
     if not rows:
         raise ValueError("no rows to plot")
     if axis not in PLOT_AXES:
@@ -210,8 +212,9 @@ def plot_drop_curve(rows: list[SweepRow], axis: str, out_path: str,
     w, h, ml, mr, mt, mb = 640, 420, 60, 20, 40, 50
     pw, ph = w - ml - mr, h - mt - mb
     ymax = max(5.0, max(ys) * 1.15)
+    ymin = min(0.0, min(ys) * 1.15)
     def px(i): return ml + (pw * i / max(1, len(xs) - 1))
-    def py(v): return mt + ph * (1 - v / ymax)
+    def py(v): return mt + ph * (1 - (v - ymin) / (ymax - ymin))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}" font-family="sans-serif" font-size="12">',
@@ -220,8 +223,11 @@ def plot_drop_curve(rows: list[SweepRow], axis: str, out_path: str,
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
     ]
+    if ymin < 0:
+        parts.append(f'<line x1="{ml}" y1="{py(0):.1f}" x2="{ml + pw}" y2="{py(0):.1f}" '
+                     f'stroke="#888" stroke-dasharray="4 3"/>')
     for t in range(5):
-        v = ymax * t / 4
+        v = ymin + (ymax - ymin) * t / 4
         parts.append(f'<line x1="{ml - 4}" y1="{py(v):.1f}" x2="{ml}" y2="{py(v):.1f}" '
                      f'stroke="black"/>')
         parts.append(f'<text x="{ml - 8}" y="{py(v) + 4:.1f}" '

@@ -11,6 +11,14 @@ slice of one flat gradient vector, so no step concatenates tensors.
 Forward/backward are written so that running the layer chain in two pieces
 produces bit-identical results to running it whole: the split training
 engine reuses segment_forward/segment_backward directly.
+
+Every layer kind also takes a stack of models: a leading client axis on x,
+on its tensors and on its gradients, each client computing with its own
+tensors on its own batch. Dense and Conv2d run one stacked matmul per
+product, which gives each client the bits of its own 2-D product; ReLU is
+elementwise; MaxPool2d folds the client axis into the batch and Flatten
+keeps it. grad takes a (G, d) stack of flat vectors that way, so G clients
+step in one call.
 """
 from __future__ import annotations
 
@@ -45,6 +53,9 @@ class Layer:
     param_grads(tensors, x, aux, dout, grads): only the writes of backward
         (default: nothing to write), for a first layer whose input gradient
         nobody reads.
+
+    x may carry a leading client axis before the batch axis; the tensors and
+    grads then carry it too (Layout.views of a stack).
     """
 
     def param_shapes(self) -> list[tuple[int, ...]]:
@@ -66,7 +77,9 @@ class Dense(Layer):
         return (self.out_features,)
 
     def param_shapes(self):
-        return [(self.in_features, self.out_features), (self.out_features,)]
+        # the bias is one row: it broadcasts over the batch, and in a stack
+        # over each client's batch, without reshaping on every call
+        return [(self.in_features, self.out_features), (1, self.out_features)]
 
     def fans(self):
         return self.in_features, self.out_features
@@ -77,12 +90,12 @@ class Dense(Layer):
 
     def param_grads(self, tensors, x, aux, dout, grads):
         gw, gb = grads
-        np.matmul(x.T, dout, out=gw)
-        dout.sum(axis=0, out=gb)
+        np.matmul(x.swapaxes(-1, -2), dout, out=gw)
+        dout.sum(axis=-2, keepdims=True, out=gb)
 
     def backward(self, tensors, x, aux, dout, grads):
         self.param_grads(tensors, x, aux, dout, grads)
-        return dout @ tensors[0].T
+        return dout @ tensors[0].swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -116,41 +129,54 @@ class Conv2d(Layer):
         return self.in_channels * k2, self.out_channels * k2
 
     def forward(self, tensors, x):
-        """aux is the k*k sliding windows, gathered into (B, C, k, k, Ho, Wo)."""
+        """aux is the k*k sliding windows as a (B*Ho*Wo, C*k*k) matrix, one
+        row per output pixel, laid out as np.tensordot lays out its operand
+        (a copy, or for B = 1 a view), so that each product has its bits."""
         w, b = tensors
         k, s, p = self.kernel, self.stride, self.padding
         if p:
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        bsz, c, h, wd = x.shape
+            x = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((p, p), (p, p)))
+        *lead, bsz, c, h, wd = x.shape
         ho = (h - k) // s + 1
         wo = (wd - k) // s + 1
-        patches = np.empty((bsz, c, k, k, ho, wo))
+        patches = np.empty((*lead, bsz, c, k, k, ho, wo))
         for i in range(k):
             for j in range(k):
-                patches[:, :, i, j] = x[:, :, i:i + (ho - 1) * s + 1:s, j:j + (wo - 1) * s + 1:s]
-        # (B,C,k,k,Ho,Wo) x (O,C,k,k) -> (B,Ho,Wo,O)
-        y = np.tensordot(patches, w, axes=([1, 2, 3], [1, 2, 3]))
-        return y.transpose(0, 3, 1, 2) + b[None, :, None, None], patches
+                patches[..., i, j, :, :] = \
+                    x[..., i:i + (ho - 1) * s + 1:s, j:j + (wo - 1) * s + 1:s]
+        patches = np.moveaxis(patches, (-2, -1), (-5, -4)).reshape(
+            (*lead, bsz * ho * wo, c * k * k))
+        # (B*Ho*Wo, C*k*k) x (C*k*k, O) -> (B,Ho,Wo,O) -> (B,O,Ho,Wo)
+        y = np.matmul(patches, self._matrix(w).swapaxes(-1, -2))
+        y = np.moveaxis(y.reshape((*lead, bsz, ho, wo, self.out_channels)), -1, -3)
+        return y + b[..., None, :, None, None], patches
+
+    def _matrix(self, w):
+        """The (O, C*k*k) view of a weight tensor."""
+        return w.reshape(w.shape[:-3] + (-1,))
 
     def param_grads(self, tensors, x, aux, dout, grads):
         gw, gb = grads
-        # dout (B,O,Ho,Wo) x patches (B,C,k,k,Ho,Wo) -> (O,C,k,k)
-        gw[...] = np.tensordot(dout, aux, axes=([0, 2, 3], [0, 4, 5]))
-        gb[...] = dout.sum(axis=(0, 2, 3))
+        # dout (O, B*Ho*Wo) x patches (B*Ho*Wo, C*k*k) -> (O,C,k,k)
+        dmat = dout.swapaxes(-4, -3).reshape(dout.shape[:-4] + (self.out_channels, -1))
+        gw[...] = np.matmul(dmat, aux).reshape(gw.shape)
+        gb[...] = dout.sum(axis=(-4, -2, -1))
 
     def backward(self, tensors, x, aux, dout, grads):
         self.param_grads(tensors, x, aux, dout, grads)
-        # dout (B,O,Ho,Wo) x w (O,C,k,k) -> (B,Ho,Wo,C,k,k)
-        dpatches = np.tensordot(dout, tensors[0], axes=([1], [0]))
         k, s, p = self.kernel, self.stride, self.padding
-        bsz, c, hin, win = x.shape
-        ho, wo = dout.shape[2], dout.shape[3]
-        dxp = np.zeros((bsz, c, hin + 2 * p, win + 2 * p))
+        *lead, bsz, c, hin, win = x.shape
+        ho, wo = dout.shape[-2:]
+        # dout (B*Ho*Wo, O) x w (O, C*k*k) -> (B,Ho,Wo,C,k,k)
+        dmat = np.moveaxis(dout, -3, -1).reshape((*lead, -1, self.out_channels))
+        dpatches = np.matmul(dmat, self._matrix(tensors[0]))
+        dpatches = dpatches.reshape((*lead, bsz, ho, wo, c, k, k))
+        dxp = np.zeros((*lead, bsz, c, hin + 2 * p, win + 2 * p))
         for i in range(k):
             for j in range(k):
-                dxp[:, :, i:i + (ho - 1) * s + 1:s, j:j + (wo - 1) * s + 1:s] += \
-                    dpatches[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        return dxp[:, :, p:p + hin, p:p + win] if p else dxp
+                dxp[..., i:i + (ho - 1) * s + 1:s, j:j + (wo - 1) * s + 1:s] += \
+                    np.moveaxis(dpatches[..., i, j], -1, -3)
+        return dxp[..., p:p + hin, p:p + win] if p else dxp
 
 
 @dataclass(frozen=True)
@@ -168,11 +194,12 @@ class MaxPool2d(Layer):
 
     def windows(self, x):
         """(B, C, H, W) -> (B, C, Ho, Wo, window**2), one pooling window per
-        row of the last axis in row-major order."""
+        row of the last axis in row-major order; a client axis in front is
+        folded into the batch and back."""
         n = self.window
-        b, c, h, w = x.shape
-        xr = x.reshape(b, c, h // n, n, w // n, n).transpose(0, 1, 2, 4, 3, 5)
-        return xr.reshape(b, c, h // n, w // n, n * n)
+        *lead, c, h, w = x.shape
+        xr = x.reshape(-1, c, h // n, n, w // n, n).transpose(0, 1, 2, 4, 3, 5)
+        return xr.reshape((*lead, c, h // n, w // n, n * n))
 
     def forward(self, tensors, x):
         xr = self.windows(x)
@@ -183,7 +210,7 @@ class MaxPool2d(Layer):
         n = self.window
         dxr = np.zeros(aux.shape + (n * n,))
         np.put_along_axis(dxr, aux[..., None], dout[..., None], axis=-1)
-        dx = dxr.reshape(aux.shape + (n, n)).transpose(0, 1, 2, 4, 3, 5)
+        dx = dxr.reshape((-1,) + aux.shape[-3:] + (n, n)).transpose(0, 1, 2, 4, 3, 5)
         return dx.reshape(x.shape)
 
 
@@ -201,11 +228,15 @@ class ReLU(Layer):
 
 @dataclass(frozen=True)
 class Flatten(Layer):
+    """(C, H, W) feature maps to vectors; the batch and client axes stay."""
+
     def out_shape(self, in_shape):
+        if len(in_shape) != 3:
+            raise BuildError(f"Flatten expects (C,H,W) input, got {in_shape}")
         return (math.prod(in_shape),)
 
     def forward(self, tensors, x):
-        return x.reshape(x.shape[0], -1), None
+        return x.reshape(x.shape[:-3] + (-1,)), None
 
     def backward(self, tensors, x, aux, dout, grads):
         return dout.reshape(x.shape)
@@ -271,8 +302,11 @@ class Layout:
     size: int
 
     def views(self, vec: np.ndarray) -> list[list[np.ndarray]]:
-        """Per-layer tensors as views of vec (no copies, no length check)."""
-        return [[vec[a:b].reshape(shape) for a, b, shape in layer]
+        """Per-layer tensors as views of vec (no copies, no length check).
+        Each row of a (G, size) stack gives its client's tensors, stacked
+        on a leading axis."""
+        lead = vec.shape[:-1]
+        return [[vec[..., a:b].reshape(lead + shape) for a, b, shape in layer]
                 for layer in self.slots]
 
 
@@ -322,7 +356,7 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
             fan_in, fan_out = layer.fans()
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             parts.append(rng.uniform(-bound, bound, size=w_shape).ravel())
-            parts.append(np.zeros(b_shape))
+            parts.append(np.zeros(math.prod(b_shape)))
     if not parts:
         return np.zeros(0)
     return np.concatenate(parts)
@@ -376,35 +410,45 @@ def forward(spec: ModelSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarra
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy and its gradient wrt logits (the 1/B is folded in).
+    Logits (G, B, classes) and labels (G, B) of a stack give G mean losses,
+    as a list, each with the bits of its client's own call.
 
     The reductions are called as ufunc reductions, the ones the array
     methods dispatch to, and the mean is the sum over n, as .mean() takes
     it: the same bits at less overhead per call."""
-    n = logits.shape[0]
-    logp = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    logp -= np.log(np.add.reduce(np.exp(logp), axis=1, keepdims=True))
+    n = logits.shape[-2]
+    logp = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    logp -= np.log(np.add.reduce(np.exp(logp), axis=-1, keepdims=True))
     rows = np.arange(n)
-    loss = float(-(np.add.reduce(logp[rows, labels]) / n))
+    picks = (rows, labels) if labels.ndim == 1 else \
+        (np.arange(len(labels))[:, None], rows, labels)
+    loss = -(np.add.reduce(logp[picks], axis=-1) / n)
     dlogits = np.exp(logp, out=logp)
-    dlogits[rows, labels] -= 1.0
+    dlogits[picks] -= 1.0
     dlogits /= n
-    return loss, dlogits
+    return loss.tolist(), dlogits
 
 
-def _check_batch(batch: np.ndarray, input_shape: tuple[int, ...]) -> np.ndarray:
+def _check_batch(batch: np.ndarray, input_shape: tuple[int, ...],
+                 lead: tuple[int, ...] = ()) -> np.ndarray:
+    """The batch as float, (B, *input_shape) with B >= 1, after the leading
+    client axis of a stack when lead is (G,)."""
     batch = np.asarray(batch, dtype=float)
-    if batch.ndim != len(input_shape) + 1 or tuple(batch.shape[1:]) != input_shape:
+    k = len(lead)
+    if batch.ndim != k + 1 + len(input_shape) or batch.shape[k + 1:] != input_shape:
         raise ShapeError(f"batch shape {batch.shape} does not match input shape {input_shape}")
-    if batch.shape[0] == 0:
+    if batch.shape[k] == 0:
         raise ShapeError("empty batch")
     return batch
 
 
-def _check_labels(labels: np.ndarray, num_classes: int, batch_size: int) -> np.ndarray:
+def _check_labels(labels: np.ndarray, num_classes: int,
+                  shape: tuple[int, ...]) -> np.ndarray:
+    """Integer labels in [0, num_classes), one per sample of a batch whose
+    leading shape is `shape`: (B,), or (G, B) for a stack."""
     labels = np.asarray(labels)
-    if labels.shape != (batch_size,):
-        raise ShapeError(
-            f"labels shape {labels.shape} does not match batch size {batch_size}")
+    if labels.shape != shape:
+        raise ShapeError(f"labels shape {labels.shape} does not match batch shape {shape}")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ShapeError("labels must be integers")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
@@ -413,16 +457,35 @@ def _check_labels(labels: np.ndarray, num_classes: int, batch_size: int) -> np.n
 
 
 def grad(spec: ModelSpec, params: np.ndarray, batch: np.ndarray,
-         labels: np.ndarray):
+         labels: np.ndarray, out: np.ndarray | None = None):
     """forward + backward on one view of params. Returns (flat gradient, loss);
-    each layer writes its slice of the fresh gradient, and layer 0 stops at
-    its parameter gradients (nobody reads the input gradient)."""
-    batch = _check_batch(batch, spec.input_shape)
-    tensors = unflatten_params(spec, params)
+    each layer writes its slice of the gradient, into `out` if given, else a
+    fresh vector, and layer 0 stops at its parameter gradients (nobody reads
+    the input gradient).
+
+    params may be a stack (G, d) of G models, with batch (G, B, *input_shape)
+    and labels (G, B): every model takes its own batch in the one call, and
+    the gradient (G, d) and the G losses carry the bits of G separate calls."""
+    if params.ndim == 2:
+        lead = params.shape[:1]
+        if params.shape[1] != spec.layout.size:
+            raise ShapeError(f"parameter stack has shape {params.shape}, "
+                             f"expected (G, {spec.layout.size})")
+        if np.ndim(batch) < 1 or np.shape(batch)[0] != lead[0]:
+            raise ShapeError(f"batch shape {np.shape(batch)} does not match "
+                             f"parameter stack shape {params.shape}")
+        tensors = spec.layout.views(params)
+    else:
+        lead = ()
+        tensors = unflatten_params(spec, params)
+    if out is not None and out.shape != params.shape:
+        raise ShapeError(f"gradient buffer shape {out.shape} does not match "
+                         f"params {params.shape}")
+    batch = _check_batch(batch, spec.input_shape, lead)
     acts, aux = segment_forward(spec.layers, tensors, batch)
-    labels = _check_labels(labels, spec.num_classes, batch.shape[0])
+    labels = _check_labels(labels, spec.num_classes, batch.shape[:len(lead) + 1])
     loss, dlogits = softmax_cross_entropy(acts[-1], labels)
-    g = np.empty(spec.layout.size)
+    g = np.empty(params.shape) if out is None else out
     segment_backward(spec.layers, tensors, acts, aux, dlogits,
                      spec.layout.views(g), input_grad=False)
     return g, loss
@@ -434,7 +497,7 @@ def finite_diff_grad(spec: ModelSpec, params: np.ndarray, batch: np.ndarray,
     if not (h > 0 and math.isfinite(h)):
         raise ValueError(f"step size h must be positive and finite, got {h}")
     batch = _check_batch(batch, spec.input_shape)
-    labels = _check_labels(labels, spec.num_classes, batch.shape[0])
+    labels = _check_labels(labels, spec.num_classes, batch.shape[:1])
     g = np.zeros_like(params)
     for i in range(params.size):
         p = params.copy()

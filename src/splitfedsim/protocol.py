@@ -2,13 +2,19 @@
 split-federated learning.
 
 Each round: sample clients, write each selected client's update once, into
-its slot of one update matrix, overwrite the malicious slots with the crafted
+its row of one update matrix, fill the malicious slots with the crafted
 attack vector once the attack is active, aggregate, broadcast.
 
 In fl mode a row is the client's full parameter vector after one local epoch.
+The clients that train (all selected ones, or only the benign ones under an
+active attack) are one (G, d) stack and run their epochs in lockstep: at
+each batch index, every client with a batch there steps in one nn.grad call
+per batch size, with the bits of training alone. Under an attack that stack
+is the benign matrix the attacker sorts.
+
 In splitfed mode clients only hold the portion below the cut; the server
-portion trains honestly one client at a time (client_forward -> server_step ->
-client_backward per batch), and only the client portions pass through the
+portion trains honestly one client at a time (client_forward -> server_step
+-> client_backward per batch), and only the client portions pass through the
 aggregation rule. Poisoning therefore acts on the client portion alone, which
 is what makes the cut position matter. The SplitModel is splitfed's only
 state: every client starts from its client half, which takes the aggregate.
@@ -111,18 +117,37 @@ def round_rule(defense: str, m_round: int) -> AggregationRule:
     return AggregationRule(defense)
 
 
-def local_epoch(spec: nn.ModelSpec, params: np.ndarray, train: Dataset,
-                batches: list[np.ndarray], lr: float) -> float:
-    """One epoch of mini-batch SGD on params, updated in place. Returns the
-    mean batch loss."""
-    losses = []
-    for batch_idx in batches:
-        x = train.features[batch_idx].reshape((-1,) + spec.input_shape)
-        y = train.labels[batch_idx]
-        g, loss = nn.grad(spec, params, x, y)
-        nn.sgd_update(params, g, lr)
-        losses.append(loss)
-    return float(np.mean(losses)) if losses else 0.0
+def local_epoch(spec: nn.ModelSpec, stack: np.ndarray, train: Dataset,
+                batches: list[list[np.ndarray]], lr: float) -> list[float]:
+    """One epoch of mini-batch SGD for each client of a stack, in lockstep:
+    row i of the (G, d) stack holds client i's parameters, updated in place,
+    and batches[i] its mini-batches. At each batch index, the clients with a
+    batch there step in one nn.grad call per batch size: on the stack itself
+    when that is every client, else on their rows gathered and scattered
+    back. Returns each client's mean batch loss (0.0 without batches)."""
+    if stack.ndim != 2 or len(stack) != len(batches):
+        raise nn.ShapeError(f"stack shape {stack.shape} does not match "
+                            f"{len(batches)} clients' batches")
+    losses = [[] for _ in batches]
+    grad_buf = np.empty_like(stack)
+    for t in range(max(map(len, batches), default=0)):
+        groups: dict[int, list[int]] = {}
+        for i, client in enumerate(batches):
+            if t < len(client):
+                groups.setdefault(client[t].size, []).append(i)
+        for members in groups.values():
+            idx = np.stack([batches[i][t] for i in members])
+            x = train.features[idx].reshape(idx.shape + spec.input_shape)
+            whole = len(members) == len(stack)
+            params = stack if whole else stack[members]
+            g, loss = nn.grad(spec, params, x, train.labels[idx],
+                              out=grad_buf[:len(members)])
+            nn.sgd_update(params, g, lr)
+            if not whole:
+                stack[members] = params
+            for i, value in zip(members, loss):
+                losses[i].append(value)
+    return [float(np.mean(client)) if client else 0.0 for client in losses]
 
 
 def _active_attack(ctx: RoundContext, attack: AttackSpec) -> AttackSpec | None:
@@ -132,11 +157,13 @@ def _active_attack(ctx: RoundContext, attack: AttackSpec) -> AttackSpec | None:
     return None
 
 
-def _aggregate_round(ctx: RoundContext, matrix: np.ndarray, current: np.ndarray,
+def _aggregate_round(ctx: RoundContext, rows: np.ndarray, current: np.ndarray,
                      losses: list[float], attack: AttackSpec | None, defense: str):
-    """Aggregate the update matrix, slot i holding ctx.selected[i]'s row.
-    `attack` is None unless active; then the crafted update overwrites the
-    malicious slots, whose contents are never read.
+    """Aggregate one round. `attack` is None unless active. Without it, rows
+    is the update matrix, slot i holding ctx.selected[i]'s row. With it,
+    rows holds the benign slots' rows alone, in slot order, the matrix the
+    attacker's statistics read; the crafted update fills the malicious slots
+    of the submitted matrix.
 
     A round whose selected clients are all malicious under an active attack
     leaves nothing to craft from and nothing honest to aggregate, so it
@@ -144,17 +171,19 @@ def _aggregate_round(ctx: RoundContext, matrix: np.ndarray, current: np.ndarray,
     loss = float(np.mean(losses)) if losses else 0.0
     rule = round_rule(defense, ctx.m_round)
     if attack is None:
-        return aggregate(rule, matrix), RoundInfo(matrix, None, loss, None, None)
+        return aggregate(rule, rows), RoundInfo(rows, None, loss, None, None)
     if ctx.mask.all():
         nothing = np.empty((0, current.size))
         return current, RoundInfo(nothing, nothing, loss, None, None)
-    cols = BenignColumns(matrix[~ctx.mask])
+    cols = BenignColumns(rows)
     try:
         vec, gamma, deviation = craft_round_update(attack, cols, ctx.m_round, rule)
     except FloatingPointError as e:
         raise FloatingPointError(f"round {ctx.round_no}: {e}") from e
     if vec.shape != current.shape:
         raise nn.ShapeError("crafted update does not match the aggregated parameters")
+    matrix = np.empty((ctx.selected.size, current.size))
+    matrix[~ctx.mask] = rows
     matrix[ctx.mask] = vec
     new = _crafted_aggregate(rule, cols, ctx.m_round, vec, matrix)
     return new, RoundInfo(matrix, cols.rows, loss, gamma, deviation)
@@ -184,17 +213,18 @@ def _crafted_aggregate(rule: AggregationRule, cols: BenignColumns, m: int,
 def run_fl_round(ctx: RoundContext, spec: nn.ModelSpec, global_params: np.ndarray,
                  train: Dataset, part: Partition, batch_size: int, seed: int,
                  attack: AttackSpec, defense: str):
-    """One fl round. Returns (new global params, RoundInfo)."""
+    """One fl round: the clients that train (every selected one, or only the
+    benign ones under an active attack, whose slots the crafted update
+    fills) start as rows of one stack copied from the global params and run
+    their local epochs in lockstep. Returns (new global params, RoundInfo)."""
     attack = _active_attack(ctx, attack)
-    matrix = np.empty((ctx.selected.size, global_params.size))
-    losses = []
-    for i, cid in enumerate(ctx.selected.tolist()):
-        if attack is not None and ctx.mask[i]:
-            continue  # the crafted update fills this slot; local work is moot
-        matrix[i] = global_params
-        batches = client_batches(part.shard(cid), batch_size, ctx.round_no, cid, seed)
-        losses.append(local_epoch(spec, matrix[i], train, batches, ctx.lr))
-    return _aggregate_round(ctx, matrix, global_params, losses, attack, defense)
+    trained = ctx.selected if attack is None else ctx.selected[~ctx.mask]
+    stack = np.empty((trained.size, global_params.size))
+    stack[...] = global_params
+    batches = [client_batches(part.shard(cid), batch_size, ctx.round_no, cid, seed)
+               for cid in trained.tolist()]
+    losses = local_epoch(spec, stack, train, batches, ctx.lr)
+    return _aggregate_round(ctx, stack, global_params, losses, attack, defense)
 
 
 def run_splitfed_round(ctx: RoundContext, model: split.SplitModel, train: Dataset,
@@ -202,7 +232,8 @@ def run_splitfed_round(ctx: RoundContext, model: split.SplitModel, train: Datase
                        attack: AttackSpec, defense: str) -> RoundInfo:
     """One splitfed round on `model`. Each client, lowest id first, starts
     from the round's client half; the server half is updated in place across
-    clients. The aggregate of the client halves becomes the model's."""
+    clients. Malicious clients train too: the server half sees their
+    batches. The aggregate of the client halves becomes the model's."""
     start = model.client_params.copy()
     matrix = np.empty((ctx.selected.size, start.size))
     losses = []
@@ -214,8 +245,9 @@ def run_splitfed_round(ctx: RoundContext, model: split.SplitModel, train: Datase
             y = train.labels[batch_idx]
             losses.append(split.split_train_step(model, x, y, ctx.lr))
         matrix[i] = model.client_params
-    new, info = _aggregate_round(ctx, matrix, start, losses,
-                                 _active_attack(ctx, attack), defense)
+    attack = _active_attack(ctx, attack)
+    rows = matrix if attack is None else matrix[~ctx.mask]
+    new, info = _aggregate_round(ctx, rows, start, losses, attack, defense)
     model.client_params[...] = new
     return info
 

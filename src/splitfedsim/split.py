@@ -101,7 +101,7 @@ def client_forward(model: SplitModel, batch: np.ndarray,
                    labels: np.ndarray) -> SmashedBatch:
     """Client half forward; returns the smashed batch sent to the server."""
     batch = nn._check_batch(batch, model.spec.input_shape)
-    labels = nn._check_labels(labels, model.spec.num_classes, batch.shape[0])
+    labels = nn._check_labels(labels, model.spec.num_classes, batch.shape[:1])
     half = model._client
     acts, aux = nn.segment_forward(half.layers, half.tensors, batch)
     return SmashedBatch(acts[-1], labels, acts, aux)

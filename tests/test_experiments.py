@@ -1,6 +1,7 @@
 """Sweep runner, summary metrics, CSV persistence, and the SVG chart."""
 
 import dataclasses
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -248,6 +249,51 @@ def test_plot_drop_curve_groups_means(tmp_path):
     path = tmp_path / "mean.svg"
     plot_drop_curve(rows, "cut", str(path))
     assert path.exists() and path.stat().st_size > 0
+
+
+# the plot area of plot_drop_curve's 640 x 420 canvas
+_PLOT_X, _PLOT_Y = (60, 620), (40, 370)
+
+
+def _chart_points(path):
+    """(x, y) of every circle and polyline vertex in a chart."""
+    root = ET.parse(str(path)).getroot()
+    points = []
+    for el in root.iter():
+        if el.tag.endswith("circle"):
+            points.append((float(el.get("cx")), float(el.get("cy"))))
+        elif el.tag.endswith("polyline"):
+            points += [tuple(map(float, p.split(","))) for p in el.get("points").split()]
+    return points
+
+
+@pytest.mark.parametrize("drops", [(-60.0, 10.0, 35.0), (-2.5, -0.5, -7.0),
+                                   (0.0, 80.0, 100.0), (0.0, 0.0, 0.0), (-0.01, 0.0, 0.01)])
+def test_plot_drop_curve_draws_every_point_inside_the_plot_area(tmp_path, drops):
+    rows = [dataclasses.replace(_sample_rows()[0], cut=cut, acc_drop=d)
+            for cut, d in zip(("v1", "v2", "v3"), drops)]
+    path = tmp_path / "drops.svg"
+    plot_drop_curve(rows, "cut", str(path))
+    points = _chart_points(path)
+    assert len(points) == 6
+    for x, y in points:
+        assert _PLOT_X[0] <= x <= _PLOT_X[1] and _PLOT_Y[0] <= y <= _PLOT_Y[1], (x, y)
+    # a negative mean brings a dashed zero line inside the plot area
+    zero = [el for el in ET.parse(str(path)).getroot().iter()
+            if el.get("stroke-dasharray")]
+    assert len(zero) == (min(drops) < 0)
+    for el in zero:
+        assert _PLOT_Y[0] < float(el.get("y1")) < _PLOT_Y[1]
+
+
+def test_plot_drop_curve_non_negative_chart_is_byte_stable(tmp_path):
+    """Taken before negative means got their own y range and zero line."""
+    rows = [dataclasses.replace(_sample_rows()[0], cut=cut, acc_drop=d)
+            for cut, d in (("", 60.2), ("v1", 12.5), ("v2", 30.0), ("v3", 55.1))]
+    path = tmp_path / "stable.svg"
+    plot_drop_curve(rows, "cut", str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "978ff2f63d560c7120a212bc1a51ec758c309d3d4833a671c0e1dc8a60428621"
 
 
 def test_plot_drop_curve_rejects_empty_and_bad_axis(tmp_path):

@@ -94,6 +94,17 @@ def test_conv_pool_shape_chain():
     assert shapes == [(1, 8, 8), (4, 8, 8), (4, 8, 8), (4, 4, 4), (64,), (3,)]
 
 
+def test_flatten_takes_feature_maps_only():
+    # a stack's client axis leads the batch axis, so Flatten keeps every axis
+    # before the (C, H, W) it flattens
+    with pytest.raises(BuildError, match=re.escape("Flatten expects (C,H,W) input")):
+        infer_shapes((Dense(3, 4), Flatten()), (3,))
+    x = np.arange(2 * 3 * 24.0).reshape(2, 3, 2, 3, 4)
+    acts, _ = segment_forward((Flatten(),), [[]], x)
+    assert acts[-1].shape == (2, 3, 24)
+    np.testing.assert_array_equal(acts[-1][1, 2], x[1, 2].ravel())
+
+
 # ---------------------------------------------------------------- params
 
 
@@ -418,6 +429,60 @@ def test_grad_stops_at_layer_0_with_the_bits_of_backward(build):
                                    input_grad=False)
         assert none is None
         assert flat.tobytes() == want.tobytes()
+
+
+def _stack(spec, g, rng):
+    """g distinct parameter vectors of spec, stacked (g, d)."""
+    return np.stack([init_params(spec, seed) + 0.01 * rng.normal(size=param_count(spec))
+                     for seed in range(g)])
+
+
+# B = 1 takes NumPy's gemv path and a view for Conv2d's window matrix; B >= 8
+# takes the pairwise sum in the loss
+@pytest.mark.parametrize("build", [mlp_spec, cnn_spec], ids=["mlp", "cnn"])
+@pytest.mark.parametrize("g", [1, 3])
+@pytest.mark.parametrize("bsz", [1, 5, 16, 32])
+def test_stacked_grad_is_each_clients_own_grad_byte_for_byte(build, g, bsz):
+    spec = build()
+    rng = np.random.default_rng(100 * g + bsz)
+    stack = _stack(spec, g, rng)
+    kept = stack.copy()
+    x = rng.normal(size=(g, bsz) + spec.input_shape)
+    y = rng.integers(0, spec.num_classes, size=(g, bsz))
+    grads, losses = grad(spec, stack, x, y)
+    assert grads.shape == stack.shape and len(losses) == g
+    buf = np.full(stack.shape, np.nan)
+    again, again_losses = grad(spec, stack, x, y, out=buf)
+    assert again is buf
+    assert again.tobytes() == grads.tobytes() and again_losses == losses
+    for i in range(g):
+        want, want_loss = grad(spec, stack[i].copy(), x[i], y[i])
+        assert grads[i].tobytes() == want.tobytes()
+        assert type(losses[i]) is float
+        assert np.float64(losses[i]).tobytes() == np.float64(want_loss).tobytes()
+    assert stack.tobytes() == kept.tobytes()
+
+
+def test_stacked_grad_rejects_shapes_that_do_not_match():
+    spec = mlp_spec()
+    rng = np.random.default_rng(3)
+    stack = _stack(spec, 3, rng)
+    x = rng.normal(size=(3, 5) + spec.input_shape)
+    y = rng.integers(0, spec.num_classes, size=(3, 5))
+    cases = [
+        (stack, x[:2], y[:2], [stack.shape, (2, 5, 8)]),         # G differs
+        (stack[:2], x, y, [(2, param_count(spec)), x.shape]),    # G differs
+        (stack, x, y[:, :4], [(3, 4), (3, 5)]),                  # B differs
+        (stack, x[0], y[0], [stack.shape, (5, 8)]),              # no client axis
+        (stack[:, :-1], x, y, [(3, param_count(spec) - 1)]),     # width
+    ]
+    for params, batch, labels, shapes in cases:
+        with pytest.raises(ShapeError) as err:
+            grad(spec, params, batch, labels)
+        for shape in shapes:
+            assert str(shape) in str(err.value)
+    with pytest.raises(ShapeError, match="gradient buffer"):
+        grad(spec, stack, x, y, out=np.empty((2, param_count(spec))))
 
 
 def _softmax_cross_entropy_reference(logits, labels):

@@ -2,11 +2,12 @@
 
 The benchmark's golden digests only run the MLP (Dense and ReLU). These pins
 cover 3-round attacked runs (trmean against agropt) of the MLP and of the CNN
-(Conv2d, MaxPool2d, Flatten), in FL and in SplitFed at cuts v1 and v3. Each
-pins the SHA-256 of the train() records and of the final parameters. They
-were taken with the layout rebuilt on every call, gradients concatenated and
-SGD out of place, so they show that the precompiled layer plan changed no
-bit.
+(Conv2d, MaxPool2d, Flatten), in FL and in SplitFed at cuts v1 and v3, and
+three FL runs whose rounds aggregate their rows unattacked or under lie. Each
+pins the SHA-256 of the train() records and of the final parameters. The
+first were taken with the layout rebuilt on every call, gradients
+concatenated and SGD out of place, so they show that the precompiled layer
+plan changed no bit.
 """
 import hashlib
 
@@ -51,8 +52,8 @@ def records_digest(records) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("model,mode,cut", sorted(PINS), ids="-".join)
-def test_train_records_and_final_params_are_pinned(model, mode, cut, monkeypatch):
+def _train_digests(config, monkeypatch):
+    """(records digest, final parameters digest) of one train() run."""
     # train() evaluates the full parameter vector after the last round
     evaluated = []
     real_evaluate = protocol.evaluate
@@ -62,10 +63,43 @@ def test_train_records_and_final_params_are_pinned(model, mode, cut, monkeypatch
         return real_evaluate(spec, params, test)
 
     monkeypatch.setattr(protocol, "evaluate", evaluate)
+    records = protocol.train(config)
+    assert len(evaluated) == config.rounds
+    return records_digest(records), hashlib.sha256(evaluated[-1].tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("model,mode,cut", sorted(PINS), ids="-".join)
+def test_train_records_and_final_params_are_pinned(model, mode, cut, monkeypatch):
     config = ExperimentConfig(seed=42, mode=mode, model=model, cut=cut, blob_dims=16,
                               blob_per_class=50, defense="trmean", attack="agropt",
                               rounds=3)
-    records = protocol.train(config)
-    assert len(evaluated) == 3
-    got = (records_digest(records), hashlib.sha256(evaluated[-1].tobytes()).hexdigest())
-    assert got == PINS[(model, mode, cut)]
+    assert _train_digests(config, monkeypatch) == PINS[(model, mode, cut)]
+
+
+# FL runs whose rounds aggregate the submitted rows as they are, which the
+# attacked runs above never do: no attack on Dirichlet shards, uneven, so
+# that the clients share batch sizes only in part, and lie on IID shards,
+# whose crafted row the aggregate reads. Taken while each FL client still trained on its own, one
+# after another, so they show that training the clients as one stack changed
+# no bit.
+FL_PINS = {
+    ("mlp", "none", "dirichlet", "fedavg"): (
+        "a7956373048d72c125cd1fd0eef4d828036a9913647c4973183c00f10b468cb7",
+        "07d7f34b07c41b5ec9bce4d81fed6faadfb6b9144c19bb5b4182b649f185f828"),
+    ("mlp", "lie", "iid", "trmean"): (
+        "5b78767e907448899a1707567d7f13227f23d656b04c5101aa85b4bf8d83cab0",
+        "16f580df7074ea5c401e4d01f5d0f96beae1dd2aa53977f163595aebc20f6e5d"),
+    ("cnn", "none", "dirichlet", "median"): (
+        "ce88d07c5617a6c7824e2d4c605e0295a3e1c022caef183f17b9261294a09a36",
+        "2352e95b5b9b285440d5bff45a13a3e9205c7973dc4b8e11e2865299923c7028"),
+}
+
+
+@pytest.mark.parametrize("model,attack,partition,defense", sorted(FL_PINS),
+                         ids=["-".join(key) for key in sorted(FL_PINS)])
+def test_fl_runs_that_aggregate_their_rows_are_pinned(model, attack, partition,
+                                                      defense, monkeypatch):
+    config = ExperimentConfig(seed=42, mode="fl", model=model, blob_dims=16,
+                              blob_per_class=50, partition=partition,
+                              defense=defense, attack=attack, rounds=3)
+    assert _train_digests(config, monkeypatch) == FL_PINS[(model, attack, partition, defense)]

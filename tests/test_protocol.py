@@ -9,9 +9,10 @@ import pytest
 
 from splitfedsim import nn, protocol, split
 from splitfedsim.aggregation import aggregate
-from splitfedsim.attacks import AttackSpec, benign_mean, perturbation_vector
+from splitfedsim.attacks import (AttackSpec, benign_mean, craft_round_update,
+                                 perturbation_vector)
 from splitfedsim.config import ExperimentConfig
-from splitfedsim.datasets import Dataset, Partition, partition_iid
+from splitfedsim.datasets import Dataset, Partition, partition_dirichlet, partition_iid
 from splitfedsim.models import mlp_spec
 from splitfedsim.protocol import (
     RoundContext,
@@ -104,11 +105,13 @@ def test_round_rule_trim_follows_round_count():
 def test_local_epoch_no_batches_is_identity():
     spec = mlp_spec()
     params = nn.init_params(spec, 0)
-    before = params.copy()
+    stack = np.stack([params, -params])
+    before = stack.copy()
     ds = _toy_data()
-    loss = local_epoch(spec, params, ds, [], lr=0.05)
-    np.testing.assert_array_equal(params, before)
-    assert loss == 0.0
+    losses = local_epoch(spec, stack, ds, [[], []], lr=0.05)
+    np.testing.assert_array_equal(stack, before)
+    assert losses == [0.0, 0.0]
+    assert local_epoch(spec, np.empty((0, params.size)), ds, [], lr=0.05) == []
 
 
 def test_local_epoch_replays_sgd_exactly():
@@ -116,15 +119,24 @@ def test_local_epoch_replays_sgd_exactly():
     params = nn.init_params(spec, 1)
     ds = _toy_data(seed=1)
     batches = client_batches(np.arange(len(ds)), 16, 0, 0, seed=2)
-    out = params.copy()
-    loss = local_epoch(spec, out, ds, batches, lr=0.05)
+    out = params[None].copy()
+    loss = local_epoch(spec, out, ds, [batches], lr=0.05)
     manual, losses = params, []
     for idx in batches:
         g, batch_loss = nn.grad(spec, manual, ds.features[idx], ds.labels[idx])
         manual = nn.sgd_step(manual, g, 0.05)
         losses.append(batch_loss)
-    np.testing.assert_array_equal(out, manual)
-    assert loss == float(np.mean(losses))
+    np.testing.assert_array_equal(out[0], manual)
+    assert loss == [float(np.mean(losses))]
+
+
+def test_local_epoch_rejects_a_stack_that_does_not_match_its_batches():
+    spec = mlp_spec()
+    params = nn.init_params(spec, 1)
+    ds = _toy_data(seed=1)
+    for stack, batches in ((params, [[]]), (np.stack([params, params]), [[]])):
+        with pytest.raises(nn.ShapeError, match="does not match"):
+            local_epoch(spec, stack, ds, batches, lr=0.05)
 
 
 def test_local_epoch_and_fl_round_leave_global_params_unchanged():
@@ -133,10 +145,10 @@ def test_local_epoch_and_fl_round_leave_global_params_unchanged():
     params = nn.init_params(spec, 2)
     before = params.copy()
     for batches in ([], client_batches(np.arange(len(ds)), 16, 0, 0, seed=2)):
-        # local_epoch trains the matrix slot it is given, and nothing else
+        # local_epoch trains the rows of the stack it is given, and nothing else
         matrix = np.zeros((2, params.size))
         matrix[1] = params
-        local_epoch(spec, matrix[1], ds, batches, lr=0.05)
+        local_epoch(spec, matrix[1:], ds, [batches], lr=0.05)
         np.testing.assert_array_equal(params, before)
         np.testing.assert_array_equal(matrix[0], np.zeros(params.size))
         assert np.array_equal(matrix[1], before) == (not batches)
@@ -150,6 +162,67 @@ def test_local_epoch_and_fl_round_leave_global_params_unchanged():
     for arr in (new_global, info.rows):
         assert not np.shares_memory(arr, params)
     assert not np.shares_memory(new_global, info.rows)
+
+
+def _replay_fl_round(ctx, spec, params, ds, part, batch_size, seed, attack, defense):
+    """run_fl_round's result, each client trained on its own by nn.grad and
+    nn.sgd_step: (submitted rows, round loss, new global params)."""
+    active = attack.kind != "none" and ctx.round_no >= attack.start_round and ctx.m_round
+    rows, losses = [], []
+    for cid, malicious in zip(ctx.selected.tolist(), ctx.mask):
+        if active and malicious:
+            continue
+        local, batch_losses = params, []
+        for idx in client_batches(part.shard(cid), batch_size, ctx.round_no, cid, seed):
+            g, loss = nn.grad(spec, local, ds.features[idx], ds.labels[idx])
+            local = nn.sgd_step(local, g, ctx.lr)
+            batch_losses.append(loss)
+        rows.append(local)
+        losses.append(float(np.mean(batch_losses)) if batch_losses else 0.0)
+    rule = round_rule(defense, ctx.m_round)
+    matrix = np.empty((ctx.selected.size, params.size))
+    if active:
+        vec, _, _ = craft_round_update(attack, np.array(rows), ctx.m_round, rule)
+        matrix[ctx.mask] = vec
+        matrix[~ctx.mask] = rows
+    else:
+        matrix[:] = rows
+    return matrix, float(np.mean(losses)), aggregate(rule, matrix)
+
+
+def _uneven_shards(ds, batch_size):
+    """Dirichlet shards of ds over 10 clients, and an 11th client with an
+    empty shard."""
+    dirichlet = partition_dirichlet(ds, 10, 0.05, seed=7)
+    shards = {cid: dirichlet.shard(cid) for cid in range(10)}
+    shards[10] = np.array([], dtype=np.int64)
+    sizes = [shards[cid].size for cid in range(11)]
+    # the first step has several batch sizes, and a last batch holds one sample
+    assert len({min(n, batch_size) for n in sizes if n}) > 2
+    assert 1 in [n % batch_size for n in sizes if n > batch_size]
+    return Partition(shards, 11)
+
+
+@pytest.mark.parametrize("attack,defense", [
+    (AttackSpec(kind="none"), "fedavg"),
+    (AttackSpec(kind="lie", z=1.0), "trmean"),
+    (AttackSpec(kind="agropt", perturb="std"), "median"),
+], ids=["none", "lie", "agropt"])
+def test_fl_round_on_uneven_shards_is_a_per_client_replay(attack, defense):
+    spec = mlp_spec()
+    ds = _toy_data(n=96, seed=12)
+    params = nn.init_params(spec, 12)
+    kept = params.copy()
+    for part in (_uneven_shards(ds, 8), partition_iid(ds, 11, seed=5)):
+        ctx = RoundContext(1, np.arange(11), frozenset({3, 7}), lr=0.05)
+        new_global, info = run_fl_round(ctx, spec, params, ds, part, 8, 4, attack,
+                                        defense)
+        rows, loss, want = _replay_fl_round(ctx, spec, params, ds, part, 8, 4,
+                                            attack, defense)
+        assert info.rows.tobytes() == rows.tobytes()
+        assert np.float64(info.loss).tobytes() == np.float64(loss).tobytes()
+        assert new_global.tobytes() == want.tobytes()
+        assert params.tobytes() == kept.tobytes()
 
 
 # ---------------------------------------------------------------- evaluate
@@ -201,9 +274,9 @@ def test_fl_round_single_client_is_centralized_epoch():
         attack=_no_attack(), defense="fedavg",
     )
     batches = client_batches(part.shard(0), 16, 0, 0, seed=7)
-    manual = params.copy()
-    assert info.loss == local_epoch(spec, manual, ds, batches, lr=0.05)
-    np.testing.assert_array_equal(new_global, manual)
+    manual = params[None].copy()
+    assert [info.loss] == local_epoch(spec, manual, ds, [batches], lr=0.05)
+    np.testing.assert_array_equal(new_global, manual[0])
     assert info.rows.shape == (1, nn.param_count(spec))
 
 
@@ -336,8 +409,9 @@ _STALE = np.array([_STALE_BITS], dtype=np.uint64).view(np.float64)[0]
 def _attacked_rounds(rng, nonfinite):
     """(ctx, update matrix) for n benign and m = 1..n-1 malicious clients,
     so n + m takes odd and even values, with the malicious slots spread
-    among the benign ones. The malicious slots hold a stale NaN: the
-    crafted row must replace them before anything reads them."""
+    among the benign ones. The malicious slots hold a stale NaN, which the
+    round never receives: it gets the benign rows alone, and the submitted
+    matrix it builds must hold the crafted row in those slots."""
     for n in range(2, 8):
         for m in range(1, n):
             ids = np.arange(n + m)
@@ -352,7 +426,7 @@ def _attacked_rounds(rng, nonfinite):
 def _assert_round_is_the_stacked_aggregate(ctx, matrix, attack, defense):
     benign = matrix[~ctx.mask]
     current = np.zeros(matrix.shape[1])
-    new, info = _aggregate_round(ctx, matrix.copy(), current, [], attack, defense)
+    new, info = _aggregate_round(ctx, benign.copy(), current, [], attack, defense)
     assert info.benign_rows.tobytes() == benign.tobytes()
     assert info.rows[~ctx.mask].tobytes() == benign.tobytes()
     crafted = info.rows[ctx.mask]
