@@ -10,7 +10,7 @@ rides that plateau and reports the largest gamma that still works.
 import numpy as np
 
 from splitfedsim.aggregation import AggregationRule, aggregate
-from splitfedsim.attacks import agr_deviation, benign_mean, gamma_search, perturbation_vector
+from splitfedsim.attacks import BenignColumns, agr_deviation, gamma_search
 
 
 def main():
@@ -20,8 +20,9 @@ def main():
 
     print(f"{benign.shape[0]} honest updates, {m} crafted rows, "
           f"perturbation = -std per dimension")
-    print(f"benign mean:      {np.array_str(benign_mean(benign), precision=3)}")
-    print(f"perturbation p:   {np.array_str(perturbation_vector('std', benign), precision=3)}")
+    cols = BenignColumns(benign)
+    print(f"benign mean:      {np.array_str(cols.mean, precision=3)}")
+    print(f"perturbation p:   {np.array_str(cols.perturbation('std'), precision=3)}")
     print()
 
     rules = {

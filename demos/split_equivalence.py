@@ -25,7 +25,7 @@ def train_both_ways(spec, cut_idx, seed, steps=5, lr=0.05):
         full = nn.sgd_step(full, g, lr)
         loss_split = split.split_train_step(model, x, y, lr)
         losses.append((loss_full, loss_split))
-    return full, split.full_params(model), losses
+    return full, model.params, losses
 
 
 def main():

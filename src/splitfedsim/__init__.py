@@ -2,10 +2,9 @@
 model-poisoning attacks against robust aggregation."""
 
 from .aggregation import (AggregationRule, aggregate, coordinate_median,
-                          fed_avg, trimmed_mean)
-from .attacks import (AttackSpec, GammaSearchResult, agr_deviation, benign_mean,
-                      craft_malicious, gamma_search, lie_update,
-                      perturbation_vector)
+                          trimmed_mean)
+from .attacks import (AttackSpec, BenignColumns, GammaSearchResult,
+                      agr_deviation, gamma_search, lie_update)
 from .config import ConfigError, ExperimentConfig, load_config, malicious_count
 from .datasets import (Dataset, IdxFormatError, Partition, gen_blobs, load_idx,
                        partition_dirichlet, partition_iid, sample_clients)
@@ -18,8 +17,7 @@ from .nn import (BuildError, Conv2d, Dense, Flatten, MaxPool2d, ModelSpec, ReLU,
 from .protocol import (RoundContext, RoundRecord, evaluate, pick_malicious,
                        train)
 from .split import (CutPoint, SmashedBatch, SplitModel, client_backward,
-                    client_forward, full_params, server_step, split_at,
-                    split_train_step)
+                    client_forward, server_step, split_at, split_train_step)
 
 __version__ = "0.1.0"
 

@@ -4,7 +4,7 @@ per parameter).
 All three rules sort each column first and reduce in ascending value order
 with a sequential accumulator. So reordering the rows leaves every nonzero
 finite result bitwise unchanged, not just mathematically, and trimmed_mean
-with trim_count 0 is literally the same computation as fed_avg. Zeros and
+with trim_count 0 is literally the same computation as fedavg. Zeros and
 NaNs are the exceptions: +0.0 and -0.0 compare equal, so where both tie at
 the edge of a median or trimmed window the sign of a zero result can follow
 row order, and a NaN result's sign bit depends on where its column falls in
@@ -76,11 +76,6 @@ def aggregate(rule: AggregationRule, updates: np.ndarray) -> np.ndarray:
     updates = _check_matrix(updates)
     lo, hi = rule_window(rule, updates.shape[0])
     return reduce_window(rule, np.sort(updates, axis=0)[lo:hi])
-
-
-def fed_avg(updates: np.ndarray) -> np.ndarray:
-    """Column-wise mean."""
-    return aggregate(AggregationRule("fedavg"), updates)
 
 
 def trimmed_mean(updates: np.ndarray, trim_count: int) -> np.ndarray:

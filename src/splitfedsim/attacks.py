@@ -4,7 +4,7 @@ Two families:
 
 * lie_update: shift the benign mean by z population standard deviations,
   staying inside the benign spread so robust rules keep the row.
-* gamma-scaled crafting: malicious = benign_mean + gamma * perturbation, with
+* gamma-scaled crafting: malicious = benign mean + gamma * perturbation, with
   gamma chosen (by a halving search) to maximize how far the deployed
   aggregation rule moves from the benign mean when m copies of the crafted
   row join the benign rows.
@@ -49,10 +49,14 @@ class GammaSearchResult:
 
 
 def _check_search(gamma_init: float, tau: float) -> None:
-    """A finite positive start and stopping step, so the halving ends."""
+    """A finite positive start and stopping step, so the halving ends, and a
+    first step gamma_init / 2 of at least tau, so it evaluates a gamma."""
     for name, v in (("gamma_init", gamma_init), ("tau", tau)):
         if not (v > 0 and math.isfinite(v)):
             raise ValueError(f"{name} must be positive and finite, got {v}")
+    if tau > gamma_init / 2.0:
+        raise ValueError(f"tau must be at most gamma_init / 2 = {gamma_init / 2.0}, "
+                         f"got {tau}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ class AttackSpec:
 
 class BenignColumns:
     """The benign rows with every column sorted once, and what the attacker
-    derives from them: the benign mean (the sum fed_avg takes), the
+    derives from them: the benign mean (their fedavg aggregate), the
     population standard deviation and the perturbation directions.
 
     gamma_search, lie_update and craft_round_update accept one in place of
@@ -117,7 +121,12 @@ class BenignColumns:
         return np.sqrt(acc / len(centered))
 
     def perturbation(self, kind: str) -> np.ndarray:
-        """perturbation_vector(kind, rows), computed once per kind."""
+        """Direction the crafted update pushes along, computed once per kind.
+
+        "std": negative per-dimension population std of the benign rows.
+        "unit": negative unit vector along the benign mean.
+        "sign": negative sign pattern of the benign mean.
+        """
         if kind not in self._directions:
             self._directions[kind] = self._direction(kind)
         return self._directions[kind]
@@ -137,31 +146,6 @@ class BenignColumns:
 
 def _columns(benign: np.ndarray | BenignColumns) -> BenignColumns:
     return benign if isinstance(benign, BenignColumns) else BenignColumns(benign)
-
-
-def benign_mean(benign: np.ndarray) -> np.ndarray:
-    """Mean of the benign rows, the attacker's reference direction."""
-    return BenignColumns(benign).mean
-
-
-def perturbation_vector(kind: str, benign: np.ndarray) -> np.ndarray:
-    """Direction the crafted update pushes along.
-
-    "std": negative per-dimension population std of the benign rows.
-    "unit": negative unit vector along the benign mean.
-    "sign": negative sign pattern of the benign mean.
-    """
-    return BenignColumns(benign).perturbation(kind)
-
-
-def craft_malicious(grad_benign: np.ndarray, grad_perturb: np.ndarray,
-                    gamma: float) -> np.ndarray:
-    """The poisoned update: benign mean plus gamma times the perturbation."""
-    if grad_benign.shape != grad_perturb.shape:
-        raise ValueError(
-            f"perturbation shape {grad_perturb.shape} does not match "
-            f"benign mean {grad_benign.shape}")
-    return grad_benign + gamma * grad_perturb
 
 
 def _deviation(benign: np.ndarray, gb: np.ndarray, gp: np.ndarray, m: int,
@@ -290,5 +274,5 @@ def craft_round_update(attack: AttackSpec, benign: np.ndarray | BenignColumns,
             raise FloatingPointError("every deviation of the gamma search is "
                                      "NaN: the benign updates are not finite")
         gp = cols.perturbation(attack.perturb)
-        return craft_malicious(cols.mean, gp, res.gamma), res.gamma, res.deviation
+        return cols.mean + res.gamma * gp, res.gamma, res.deviation
     raise ValueError(f"attack kind {attack.kind!r} crafts no update")

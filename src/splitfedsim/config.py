@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .aggregation import RULE_KINDS
-from .attacks import ATTACK_KINDS, PERTURB_KINDS
+from .attacks import ATTACK_KINDS, PERTURB_KINDS, _check_search
 
 
 class ConfigError(ValueError):
@@ -78,6 +78,10 @@ class ExperimentConfig:
             v = getattr(self, f)
             if not (v > 0 and math.isfinite(v)):
                 raise ConfigError(f"{f} must be positive and finite, got {v}")
+        try:  # attacks owns the gamma search's bounds; only tau's upper one is left
+            _check_search(self.agropt_gamma_init, self.agropt_tau)
+        except ValueError as e:
+            raise ConfigError(f"agropt_tau: {e}") from None
         if not math.isfinite(self.lie_z):
             raise ConfigError(f"lie_z must be finite, got {self.lie_z}")
         # gen_blobs needs two classes of two features and five samples each

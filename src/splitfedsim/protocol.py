@@ -1,9 +1,11 @@
 """Round-based training orchestration for plain federated learning and for
 split-federated learning.
 
-Each round: sample clients, write each selected client's update once, into
-its row of one update matrix, fill the malicious slots with the crafted
-attack vector once the attack is active, aggregate, broadcast.
+Each round: sample clients, train them, aggregate the update matrix (one
+row per selected client, in slot order), broadcast. Under an active attack
+the benign rows form their own matrix, the one the attacker's statistics
+read; the submitted matrix is a copy of those rows with the crafted attack
+vector in the malicious slots.
 
 In fl mode a row is the client's full parameter vector after one local epoch.
 The clients that train (all selected ones, or only the benign ones under an
@@ -16,8 +18,11 @@ In splitfed mode clients only hold the portion below the cut; the server
 portion trains honestly one client at a time (client_forward -> server_step
 -> client_backward per batch), and only the client portions pass through the
 aggregation rule. Poisoning therefore acts on the client portion alone, which
-is what makes the cut position matter. The SplitModel is splitfed's only
-state: every client starts from its client half, which takes the aggregate.
+is what makes the cut position matter. Every selected client, malicious ones
+too, trains and writes its row of the matrix; under an active attack the
+benign rows are gathered from it into the attacker's matrix. The SplitModel
+is splitfed's only state: every client starts from its client half, which
+takes the aggregate.
 
 Every random choice comes from a fresh generator seeded from the experiment
 seed, so a config determines the full history bit for bit. The keys are not
@@ -53,7 +58,7 @@ _TAG_BATCHES = 2
 
 @dataclass(frozen=True)
 class RoundContext:
-    """Who participates in one round and under which trim count."""
+    """Who participates in one round, and the learning rate they train with."""
     round_no: int
     selected: np.ndarray
     malicious: frozenset[int]

@@ -92,11 +92,6 @@ def split_at(spec: nn.ModelSpec, params: np.ndarray, cut: CutPoint) -> SplitMode
     return SplitModel(spec, cut, params.copy())
 
 
-def full_params(model: SplitModel) -> np.ndarray:
-    """A copy of the whole parameter vector."""
-    return model.params.copy()
-
-
 def client_forward(model: SplitModel, batch: np.ndarray,
                    labels: np.ndarray) -> SmashedBatch:
     """Client half forward; returns the smashed batch sent to the server."""
@@ -108,10 +103,10 @@ def client_forward(model: SplitModel, batch: np.ndarray,
 
 
 def server_step(model: SplitModel, smashed: SmashedBatch, lr: float):
-    """Finish the forward, take the loss, update server params.
+    """Finish the forward, take the loss, update the server half in place.
 
-    Returns (cut_grad, server_params, loss). cut_grad is the loss gradient at
-    the cut activations, evaluated at the pre-update server parameters.
+    Returns (cut_grad, loss). cut_grad is the loss gradient at the cut
+    activations, evaluated at the pre-update server parameters.
     """
     half = model._server
     acts, aux = nn.segment_forward(half.layers, half.tensors, smashed.activations)
@@ -119,12 +114,13 @@ def server_step(model: SplitModel, smashed: SmashedBatch, lr: float):
     _, cut_grad = nn.segment_backward(half.layers, half.tensors, acts, aux, dlogits,
                                       half.grads)
     nn.sgd_update(half.params, half.grad, lr)
-    return cut_grad, half.params, loss
+    return cut_grad, loss
 
 
 def client_backward(model: SplitModel, smashed: SmashedBatch,
-                    cut_grad: np.ndarray, lr: float) -> np.ndarray:
-    """Backward through the client half using the server's cut gradient."""
+                    cut_grad: np.ndarray, lr: float) -> None:
+    """Backward through the client half using the server's cut gradient;
+    updates the client half in place."""
     if cut_grad.shape != smashed.activations.shape:
         raise nn.ShapeError(
             f"cut gradient shape {cut_grad.shape} does not match "
@@ -133,13 +129,12 @@ def client_backward(model: SplitModel, smashed: SmashedBatch,
     nn.segment_backward(half.layers, half.tensors, smashed.client_acts,
                         smashed.client_aux, cut_grad, half.grads, input_grad=False)
     nn.sgd_update(half.params, half.grad, lr)
-    return half.params
 
 
 def split_train_step(model: SplitModel, batch: np.ndarray, labels: np.ndarray,
                      lr: float) -> float:
     """One full split training step on one batch. Returns the loss."""
     smashed = client_forward(model, batch, labels)
-    cut_grad, _, loss = server_step(model, smashed, lr)
+    cut_grad, loss = server_step(model, smashed, lr)
     client_backward(model, smashed, cut_grad, lr)
     return loss

@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from splitfedsim import nn, split
-from splitfedsim.aggregation import AggregationRule, aggregate, fed_avg
-from splitfedsim.attacks import agr_deviation, gamma_search, perturbation_vector
+from splitfedsim.aggregation import AggregationRule, aggregate
+from splitfedsim.attacks import BenignColumns, agr_deviation, gamma_search
 from splitfedsim.cli import main
 from splitfedsim.config import ExperimentConfig
 from splitfedsim.gradcheck import run_gradient_checks
@@ -59,7 +59,7 @@ def test_c01_split_equivalence():
                     g, _ = nn.grad(spec, full, x, y)
                     full = nn.sgd_step(full, g, 0.05)
                     split.split_train_step(model, x, y, 0.05)
-                np.testing.assert_array_equal(split.full_params(model), full)
+                np.testing.assert_array_equal(model.params, full)
     assert time.monotonic() - t0 < 60.0
 
 
@@ -103,7 +103,7 @@ def test_c03_aggregator_oracles():
 
         np.testing.assert_array_equal(
             aggregate(AggregationRule("trmean", trim_count=0), updates),
-            fed_avg(updates))
+            aggregate(AggregationRule("fedavg"), updates))
 
 
 # --------------------------------------------------------------------- c04
@@ -139,7 +139,7 @@ def test_c04_gamma_search_optimality():
         d = int(rng.integers(1, 6))
         benign = rng.normal(size=(n_benign, d))
         gamma = float(rng.uniform(0.1, 9.0))
-        gp = perturbation_vector("std", benign)
+        gp = BenignColumns(benign).perturbation("std")
         expect = (m / (n_benign + m)) * gamma * float(np.linalg.norm(gp))
         assert agr_deviation(benign, m, "std", gamma, rule) == pytest.approx(
             expect, rel=1e-9)

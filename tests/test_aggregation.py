@@ -8,40 +8,42 @@ from splitfedsim.aggregation import (
     AggregationRule,
     aggregate,
     coordinate_median,
-    fed_avg,
     rule_window,
     trimmed_mean,
 )
+
+
+FEDAVG = AggregationRule("fedavg")
 
 
 def _mat(*rows):
     return np.array(rows, dtype=np.float64)
 
 
-# ---------------------------------------------------------------- fed_avg
+# ---------------------------------------------------------------- fedavg
 
 
 def test_fed_avg_two_rows():
-    out = fed_avg(_mat([0.0, 2.0], [2.0, 0.0]))
+    out = aggregate(FEDAVG, _mat([0.0, 2.0], [2.0, 0.0]))
     np.testing.assert_array_equal(out, [1.0, 1.0])
 
 
 def test_fed_avg_single_row_is_identity():
     row = _mat([3.5, -1.0, 0.25])
-    np.testing.assert_array_equal(fed_avg(row), row[0])
+    np.testing.assert_array_equal(aggregate(FEDAVG, row), row[0])
 
 
 def test_fed_avg_matches_numpy_mean():
     rng = np.random.default_rng(0)
     u = rng.normal(size=(7, 5))
-    np.testing.assert_allclose(fed_avg(u), u.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(aggregate(FEDAVG, u), u.mean(axis=0), rtol=1e-12)
 
 
 def test_fed_avg_rejects_empty_and_1d():
     with pytest.raises(ValueError):
-        fed_avg(np.empty((0, 3)))
+        aggregate(FEDAVG, np.empty((0, 3)))
     with pytest.raises(ValueError):
-        fed_avg(np.zeros(3))
+        aggregate(FEDAVG, np.zeros(3))
 
 
 # ---------------------------------------------------------------- trimmed mean
@@ -60,7 +62,7 @@ def test_trimmed_mean_discards_outlier():
 def test_trimmed_mean_zero_trim_is_fed_avg():
     rng = np.random.default_rng(1)
     u = rng.normal(size=(6, 4))
-    np.testing.assert_array_equal(trimmed_mean(u, 0), fed_avg(u))
+    np.testing.assert_array_equal(trimmed_mean(u, 0), aggregate(FEDAVG, u))
 
 
 def test_trimmed_mean_requires_enough_rows():
@@ -187,7 +189,8 @@ def test_output_bounded_by_retained_values():
     for u, rng in _random_matrices(30, seed=4):
         n = u.shape[0]
         lo, hi = u.min(axis=0), u.max(axis=0)
-        assert np.all(fed_avg(u) >= lo - 1e-12) and np.all(fed_avg(u) <= hi + 1e-12)
+        mean = aggregate(FEDAVG, u)
+        assert np.all(mean >= lo - 1e-12) and np.all(mean <= hi + 1e-12)
         assert np.all(coordinate_median(u) >= lo) and np.all(coordinate_median(u) <= hi)
         m = int(rng.integers(0, max(1, (n - 1) // 2) + 1))
         if n > 2 * m:

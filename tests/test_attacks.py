@@ -7,7 +7,7 @@ mean-shift baseline."""
 import numpy as np
 import pytest
 
-from splitfedsim.aggregation import AggregationRule, aggregate, fed_avg
+from splitfedsim.aggregation import AggregationRule, aggregate
 from splitfedsim.attacks import (
     AttackSpec,
     BenignColumns,
@@ -15,12 +15,9 @@ from splitfedsim.attacks import (
     _CraftedStack,
     _deviation,
     agr_deviation,
-    benign_mean,
-    craft_malicious,
     craft_round_update,
     gamma_search,
     lie_update,
-    perturbation_vector,
 )
 
 
@@ -58,75 +55,55 @@ def test_benign_columns_match_numpy_population():
 
 
 def test_benign_mean_two_rows():
-    np.testing.assert_array_equal(benign_mean(_col(1.0, 2.0)), [1.5])
+    np.testing.assert_array_equal(BenignColumns(_col(1.0, 2.0)).mean, [1.5])
 
 
 def test_benign_mean_single_row():
     row = np.array([[3.0, -1.0, 0.5]])
-    np.testing.assert_array_equal(benign_mean(row), row[0])
+    np.testing.assert_array_equal(BenignColumns(row).mean, row[0])
 
 
 def test_benign_mean_shares_fed_avg_definition():
     rng = np.random.default_rng(0)
     u = rng.normal(size=(6, 5))
-    np.testing.assert_array_equal(benign_mean(u), fed_avg(u))
+    np.testing.assert_array_equal(BenignColumns(u).mean,
+                                  aggregate(AggregationRule("fedavg"), u))
 
 
 def test_benign_mean_rejects_empty():
     with pytest.raises(ValueError):
-        benign_mean(np.empty((0, 3)))
+        BenignColumns(np.empty((0, 3)))
 
 
 def test_perturbation_std_identical_rows_is_zero():
     u = np.tile([1.0, -2.0], (4, 1))
-    np.testing.assert_array_equal(perturbation_vector("std", u), [0.0, 0.0])
+    np.testing.assert_array_equal(BenignColumns(u).perturbation("std"), [0.0, 0.0])
 
 
 def test_perturbation_std_hand_value():
     u = np.array([[0.0, 2.0], [2.0, 0.0]])
-    np.testing.assert_array_equal(perturbation_vector("std", u), [-1.0, -1.0])
+    np.testing.assert_array_equal(BenignColumns(u).perturbation("std"), [-1.0, -1.0])
 
 
 def test_perturbation_sign_hand_value():
     u = np.array([[3.0, -2.0]])
-    np.testing.assert_array_equal(perturbation_vector("sign", u), [-1.0, 1.0])
+    np.testing.assert_array_equal(BenignColumns(u).perturbation("sign"), [-1.0, 1.0])
 
 
 def test_perturbation_unit_is_negative_normalized_mean():
     u = np.array([[3.0, 4.0], [3.0, 4.0]])
-    np.testing.assert_allclose(perturbation_vector("unit", u), [-0.6, -0.8], rtol=1e-15)
+    np.testing.assert_allclose(BenignColumns(u).perturbation("unit"), [-0.6, -0.8],
+                               rtol=1e-15)
 
 
 def test_perturbation_unit_rejects_zero_mean():
     with pytest.raises(ValueError):
-        perturbation_vector("unit", np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        BenignColumns(np.array([[1.0, -1.0], [-1.0, 1.0]])).perturbation("unit")
 
 
 def test_perturbation_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        perturbation_vector("cosine", np.ones((2, 2)))
-
-
-def test_craft_malicious_gamma_zero():
-    gb = np.array([1.0, 2.0])
-    np.testing.assert_array_equal(craft_malicious(gb, np.array([-1.0, -1.0]), 0.0), gb)
-
-
-def test_craft_malicious_hand_value():
-    out = craft_malicious(np.array([1.0, 1.0]), np.array([-1.0, -1.0]), 2.0)
-    np.testing.assert_array_equal(out, [-1.0, -1.0])
-
-
-def test_craft_malicious_affine_in_gamma():
-    rng = np.random.default_rng(1)
-    gb, gp = rng.normal(size=4), rng.normal(size=4)
-    lhs = craft_malicious(gb, gp, 1.3) + craft_malicious(gb, gp, 0.4) - craft_malicious(gb, gp, 0.0)
-    np.testing.assert_allclose(lhs, craft_malicious(gb, gp, 1.7), rtol=1e-12)
-
-
-def test_craft_malicious_dimension_mismatch():
-    with pytest.raises(ValueError):
-        craft_malicious(np.zeros(3), np.zeros(4), 1.0)
+        BenignColumns(np.ones((2, 2))).perturbation("cosine")
 
 
 # ---------------------------------------------------------------- deviation
@@ -161,11 +138,10 @@ def test_deviation_matches_direct_norm():
     benign = rng.normal(size=(5, 3))
     rule = AggregationRule("median")
     gamma = 1.7
-    crafted = craft_malicious(
-        benign_mean(benign), perturbation_vector("std", benign), gamma
-    )
+    cols = BenignColumns(benign)
+    crafted = cols.mean + gamma * cols.perturbation("std")
     stacked = np.vstack([benign, np.tile(crafted, (2, 1))])
-    expect = np.linalg.norm(benign_mean(benign) - aggregate(rule, stacked))
+    expect = np.linalg.norm(cols.mean - aggregate(rule, stacked))
     assert agr_deviation(benign, 2, "std", gamma, rule) == pytest.approx(expect, rel=1e-12)
 
 
@@ -262,7 +238,7 @@ def test_fedavg_deviation_closed_form():
         d = int(rng.integers(1, 6))
         benign = rng.normal(size=(n_benign, d))
         gamma = float(rng.uniform(0.1, 9.0))
-        gp = perturbation_vector("std", benign)
+        gp = BenignColumns(benign).perturbation("std")
         expect = (m / (n_benign + m)) * gamma * np.linalg.norm(gp)
         got = agr_deviation(benign, m, "std", gamma, rule)
         assert got == pytest.approx(expect, rel=1e-9)
@@ -314,7 +290,7 @@ def test_crafted_stack_matches_sorting_the_stack():
             for m in range(1, n + 1):
                 benign = _awkward_rows(rng, n, 14)
                 srt = np.sort(benign, axis=0)
-                gb = benign_mean(benign)
+                gb = BenignColumns(benign).mean
                 for crafted in _awkward_crafted(rng, benign):
                     stacked = np.vstack([benign, np.tile(crafted, (m, 1))])
                     for rule in _rules(n + m, m):
@@ -331,8 +307,8 @@ def test_crafted_stack_deviation_equals_agr_deviation():
         for n in range(1, 9):
             for m in range(1, n + 1):
                 for benign in (rng.normal(size=(n, 6)), _awkward_rows(rng, n, 6)):
-                    gb = benign_mean(benign)
-                    gp = perturbation_vector("std", benign)
+                    cols = BenignColumns(benign)
+                    gb, gp = cols.mean, cols.perturbation("std")
                     srt = np.sort(benign, axis=0)
                     for rule in _rules(n + m, m):
                         stack = _CraftedStack(srt, m, rule)
@@ -352,8 +328,8 @@ def _gamma_search_by_sorting(benign, m, perturb, rule, gamma_init=10.0, tau=1e-5
     """The halving search with every deviation taken by stacking the rows and
     sorting them through aggregate: the reference gamma_search must match."""
     benign = np.asarray(benign, dtype=float)
-    gb = benign_mean(benign)
-    gp = perturbation_vector(perturb, benign)
+    cols = BenignColumns(benign)
+    gb, gp = cols.mean, cols.perturbation(perturb)
     gamma = gamma_init
     step = gamma_init / 2.0
     best = 0.0
@@ -399,8 +375,8 @@ def test_craft_round_update_matches_sorting_search():
         vec, gamma, dev = craft_round_update(spec, benign, 4, deployed_rule=rule)
         want = _gamma_search_by_sorting(benign, 4, "std", rule)
         assert (gamma, dev) == (want.gamma, want.deviation)
-        np.testing.assert_array_equal(vec, craft_malicious(
-            benign_mean(benign), perturbation_vector("std", benign), gamma))
+        cols = BenignColumns(benign)
+        np.testing.assert_array_equal(vec, cols.mean + gamma * cols.perturbation("std"))
 
 
 # ---------------------------------------------------------------- mean-shift baseline
@@ -444,6 +420,19 @@ def test_attack_spec_validation():
         AttackSpec(kind="agropt", start_round=-1)
 
 
+def test_tau_above_half_gamma_init_is_rejected():
+    """The first halving step is gamma_init / 2; a larger tau used to end the
+    search before it evaluated any gamma, with gamma None."""
+    benign = np.random.default_rng(0).normal(size=(4, 3))
+    rule = AggregationRule("median")
+    with pytest.raises(ValueError, match="tau"):
+        AttackSpec(kind="agropt", gamma_init=10.0, tau=5.1)
+    with pytest.raises(ValueError, match="tau"):
+        gamma_search(benign, 1, "std", rule, gamma_init=10.0, tau=5.1)
+    AttackSpec(kind="agropt", gamma_init=10.0, tau=5.0)
+    assert gamma_search(benign, 1, "std", rule, gamma_init=10.0, tau=5.0).evaluations == 1
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_attack_arguments_are_rejected(bad):
     """An infinite gamma_init or tau used to leave the halving step infinite,
@@ -470,9 +459,8 @@ def test_craft_round_update_agropt_targets_deployed_rule():
     benign = rng.normal(size=(5, 4))
     spec = AttackSpec(kind="agropt", perturb="std", gamma_init=10.0, tau=1e-5)
     vec, gamma, dev = craft_round_update(spec, benign, 2, deployed_rule=AggregationRule("median"))
-    expect = craft_malicious(
-        benign_mean(benign), perturbation_vector("std", benign), gamma
-    )
+    cols = BenignColumns(benign)
+    expect = cols.mean + gamma * cols.perturbation("std")
     np.testing.assert_array_equal(vec, expect)
     assert dev == pytest.approx(
         agr_deviation(benign, 2, "std", gamma, AggregationRule("median")), rel=1e-12

@@ -96,6 +96,16 @@ def test_validation_failure_exit_1(capsys):
     assert "defense" in capsys.readouterr().err
 
 
+def test_tau_above_half_gamma_init_exit_1(tmp_path, capsys):
+    """Such a tau leaves the gamma search no step to take; it used to pass
+    validate() and report every attacked run as diverged (exit 2)."""
+    run = ["train", *TINY, "--set", "mode=fl", "--set", "attack=agropt",
+           "--out", str(tmp_path / "r.csv")]
+    assert main(run + ["--set", "agropt_tau=5.1"]) == 1
+    assert "agropt_tau" in capsys.readouterr().err
+    assert main(run + ["--set", "agropt_tau=5"]) == 0
+
+
 @pytest.mark.parametrize("setting", ["blob_classes=1", "blob_dims=1",
                                      "blob_per_class=4"])
 def test_blob_sizes_below_gen_blobs_minimum_exit_1(tmp_path, capsys, setting):

@@ -84,6 +84,7 @@ def test_malicious_count_range():
         ("blob_spread", math.inf),
         ("agropt_gamma_init", math.inf),
         ("agropt_tau", math.inf),
+        ("agropt_tau", 5.1),   # above agropt_gamma_init / 2: the search tries no gamma
         ("lie_z", math.inf),
         ("lie_z", -math.inf),
         ("lie_z", math.nan),
@@ -96,6 +97,15 @@ def test_validate_rejects_bad_field(field, value):
     cfg = dataclasses.replace(ExperimentConfig(), **{field: value})
     with pytest.raises(ConfigError, match=field):
         cfg.validate()
+
+
+def test_validate_tau_bound_follows_gamma_init():
+    for gamma_init in (1.0, 10.0, 100.0):
+        cfg = ExperimentConfig(agropt_gamma_init=gamma_init, agropt_tau=gamma_init / 2)
+        cfg.validate()
+        cfg.agropt_tau = gamma_init * 0.51
+        with pytest.raises(ConfigError, match="agropt_tau"):
+            cfg.validate()
 
 
 @pytest.mark.parametrize("blob_dims", [60, 36])  # not a square; side 6 not a multiple of 4

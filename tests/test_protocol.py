@@ -9,8 +9,7 @@ import pytest
 
 from splitfedsim import nn, protocol, split
 from splitfedsim.aggregation import aggregate
-from splitfedsim.attacks import (AttackSpec, benign_mean, craft_round_update,
-                                 perturbation_vector)
+from splitfedsim.attacks import AttackSpec, BenignColumns, craft_round_update
 from splitfedsim.config import ExperimentConfig
 from splitfedsim.datasets import Dataset, Partition, partition_dirichlet, partition_iid
 from splitfedsim.models import mlp_spec
@@ -309,8 +308,8 @@ def test_fl_round_agropt_fedavg_closed_form():
         attack=attack, defense="fedavg",
     )
     assert info.benign_rows.shape[0] == 4
-    gp = perturbation_vector("std", info.benign_rows)
-    expect = benign_mean(info.benign_rows) + (1 / 5) * info.gamma * gp
+    cols = BenignColumns(info.benign_rows)
+    expect = cols.mean + (1 / 5) * info.gamma * cols.perturbation("std")
     np.testing.assert_allclose(new_global, expect, rtol=1e-9, atol=1e-12)
 
 

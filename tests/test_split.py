@@ -12,7 +12,6 @@ from splitfedsim.split import (
     SplitModel,
     client_backward,
     client_forward,
-    full_params,
     server_step,
     split_at,
     split_offset,
@@ -39,7 +38,7 @@ def test_split_preserves_parameter_mass():
     for cut in spec.cut_presets.values():
         model = split_at(spec, params, CutPoint(cut))
         assert model.client_params.size + model.server_params.size == params.size
-        np.testing.assert_array_equal(full_params(model), params)
+        np.testing.assert_array_equal(model.params, params)
 
 
 def test_split_v1_client_owns_first_dense():
@@ -133,7 +132,7 @@ def test_relu_client_half_passes_nonnegative_input_through():
 def test_server_loss_equals_full_model_loss():
     spec, params, model, x, y = _mlp_setup()
     smashed = client_forward(model, x, y)
-    _, _, loss = server_step(model, smashed, lr=0.05)
+    _, loss = server_step(model, smashed, lr=0.05)
     assert loss == nn.grad(spec, params, x, y)[1]
 
 
@@ -146,17 +145,17 @@ def test_split_steps_reject_non_positive_lr_and_leave_both_halves():
             server_step(model, smashed, lr)
         with pytest.raises(ValueError, match="learning rate"):
             client_backward(model, smashed, cut_grad, lr)
-        assert full_params(model).tobytes() == params.tobytes()
+        assert model.params.tobytes() == params.tobytes()
 
 
 def test_server_step_gradients_computed_before_update():
     _, _, model, x, y = _mlp_setup()
     _, _, twin, _, _ = _mlp_setup()
     before = model.server_params.copy()
-    cut_grad_a, _, _ = server_step(model, client_forward(model, x, y), lr=0.05)
-    cut_grad_b, updated, _ = server_step(twin, client_forward(twin, x, y), lr=0.5)
+    cut_grad_a, _ = server_step(model, client_forward(model, x, y), lr=0.05)
+    cut_grad_b, _ = server_step(twin, client_forward(twin, x, y), lr=0.5)
     np.testing.assert_array_equal(cut_grad_a, cut_grad_b)
-    assert not np.array_equal(updated, before)
+    assert not np.array_equal(twin.server_params, before)
 
 
 # ---------------------------------------------------------------- backward
@@ -169,11 +168,11 @@ def test_split_gradient_concat_equals_full_gradient():
         offset = model.client_params.size
 
         smashed = client_forward(model, x, y)
-        cut_grad, _, _ = server_step(model, smashed, lr=0.05)
+        cut_grad, _ = server_step(model, smashed, lr=0.05)
         # recover the client grad via a unit-lr step difference
         before = model.client_params.copy()
-        stepped = client_backward(model, smashed, cut_grad, lr=1.0)
-        client_grad = before - stepped
+        client_backward(model, smashed, cut_grad, lr=1.0)
+        client_grad = before - model.client_params
 
         np.testing.assert_allclose(client_grad, full_grad[:offset], rtol=0, atol=1e-15)
 
@@ -183,17 +182,20 @@ def test_client_backward_zero_cut_grad_no_change():
     smashed = client_forward(model, x, y)
     before = model.client_params.copy()
     zero = np.zeros_like(smashed.activations)
-    np.testing.assert_array_equal(client_backward(model, smashed, zero, lr=0.5), before)
+    client_backward(model, smashed, zero, lr=0.5)
+    np.testing.assert_array_equal(model.client_params, before)
 
 
 def test_client_backward_delta_linear_in_lr():
     _, _, model_a, x, y = _mlp_setup()
     _, _, model_b, _, _ = _mlp_setup()
     smashed = client_forward(model_a, x, y)
-    cut_grad, _, _ = server_step(model_a, smashed, lr=0.05)
+    cut_grad, _ = server_step(model_a, smashed, lr=0.05)
     start = model_a.client_params.copy()
-    d1 = start - client_backward(model_a, smashed, cut_grad, lr=0.1)
-    d2 = start - client_backward(model_b, smashed, cut_grad, lr=0.2)
+    client_backward(model_a, smashed, cut_grad, lr=0.1)
+    client_backward(model_b, smashed, cut_grad, lr=0.2)
+    d1 = start - model_a.client_params
+    d2 = start - model_b.client_params
     np.testing.assert_allclose(d2, 2.0 * d1, rtol=1e-12, atol=1e-15)
 
 
@@ -220,7 +222,7 @@ def _assert_split_equivalent(spec, seed):
     for cut in spec.cut_presets.values():
         model = split_at(spec, params, CutPoint(cut))
         split_train_step(model, x, y, lr)
-        np.testing.assert_array_equal(full_params(model), reference)
+        np.testing.assert_array_equal(model.params, reference)
 
 
 def test_split_equivalence_mlp_all_cuts():
@@ -245,7 +247,7 @@ def test_multi_step_split_equivalence():
     model = split_at(spec, params, CutPoint(spec.cut_presets["v2"]))
     for x, y in batches:
         split_train_step(model, x, y, 0.05)
-    np.testing.assert_array_equal(full_params(model), reference)
+    np.testing.assert_array_equal(model.params, reference)
 
 
 def test_half_views_cannot_be_reassigned():
@@ -275,4 +277,4 @@ def test_copying_into_the_half_views_restarts_both_halves():
                 split_train_step(model, x, y, 0.05)
                 split_train_step(fresh, x, y, 0.05)
             assert model.params is buffer
-            assert full_params(model).tobytes() == full_params(fresh).tobytes()
+            assert model.params.tobytes() == fresh.params.tobytes()

@@ -1,5 +1,7 @@
 """Validity oracle over the config space: every config that passes
-validate() either trains or fails with ConfigError or FloatingPointError.
+validate() either trains or fails with ConfigError or FloatingPointError,
+and a FloatingPointError from crafting means the benign updates really are
+not finite.
 
 A seeded generator draws small configs over every field, invalid values
 included, so that validate() itself decides which ones run. Each valid one
@@ -12,6 +14,7 @@ import collections
 import numpy as np
 import pytest
 
+from splitfedsim import protocol
 from splitfedsim.config import ConfigError, ExperimentConfig
 from splitfedsim.protocol import train
 
@@ -54,7 +57,8 @@ def draw_config(rng, idx_fields) -> ExperimentConfig:
         lie_z=_pick(rng, (0.5, 1.5, 10.0)),
         agropt_perturb=_pick(rng, ("std", "unit", "sign")),
         agropt_gamma_init=_pick(rng, (1.0, 10.0, 100.0)),
-        agropt_tau=_pick(rng, (1e-5, 1e-2)),
+        # one draw in ten above every gamma_init / 2, where the search has no step
+        agropt_tau=60.0 if rng.random() < 0.1 else _pick(rng, (1e-5, 1e-2)),
         attack_start_round=int(rng.integers(-1, 4)),
         eval_every=_count(rng, 1, 3, (0,)),
     )
@@ -67,7 +71,17 @@ def draw_config(rng, idx_fields) -> ExperimentConfig:
     return ExperimentConfig(**fields)
 
 
-def test_every_valid_config_trains_or_fails_clearly(idx_fields):
+def test_every_valid_config_trains_or_fails_clearly(idx_fields, monkeypatch):
+    craft = protocol.craft_round_update
+
+    def craft_or_prove_divergence(attack, cols, m, rule):
+        try:
+            return craft(attack, cols, m, rule)
+        except FloatingPointError:
+            assert not np.isfinite(cols.rows).all(), "finite benign rows reported as diverged"
+            raise
+
+    monkeypatch.setattr(protocol, "craft_round_update", craft_or_prove_divergence)
     rng = np.random.default_rng(SEED)
     outcomes = collections.Counter()
     covered = set()
