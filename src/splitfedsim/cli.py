@@ -131,7 +131,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -138,11 +138,6 @@ class ExperimentConfig:
             return self.attack_start_round
         return 0 if self.partition == "iid" else self.rounds // 4
 
-    def to_text(self) -> str:
-        lines = [f"{f.name} = {getattr(self, f.name)}"
-                 for f in dataclasses.fields(self)]
-        return "\n".join(lines) + "\n"
-
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Parse `key = value` lines into a config. Unknown keys and uncoercible
@@ -168,7 +163,7 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
     return cfg
 
 
-def load_config(path: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def load_config(path: str) -> ExperimentConfig:
     """parse_config_text of a file; validate() checks the result."""
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config_text(f.read(), base)
+        return parse_config_text(f.read())

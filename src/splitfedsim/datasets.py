@@ -1,9 +1,9 @@
 """Datasets and client partitions.
 
 Two sources: synthetic Gaussian blobs (the default desk-scale workload) and
-IDX-format image files. Partitions map client ids to disjoint sample index
-arrays covering the training set; cross-device rounds draw a deterministic
-client subset per round.
+IDX-format image files. A partition is a list of disjoint sample index
+arrays covering the training set, entry i client i's shard; cross-device
+rounds draw a deterministic client subset per round.
 """
 from __future__ import annotations
 
@@ -150,28 +150,18 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 # ---------------------------------------------------------------------------
 # partitions
 
-@dataclass
-class Partition:
-    """Disjoint sample index arrays per client, covering the dataset."""
-    assignments: dict[int, np.ndarray]
-    n_clients: int
-
-    def shard(self, client_id: int) -> np.ndarray:
-        return self.assignments[client_id]
-
-
-def partition_iid(ds: Dataset, n_clients: int, seed: int) -> Partition:
+def partition_iid(ds: Dataset, n_clients: int, seed: int) -> list[np.ndarray]:
     """Shuffle once, deal contiguous chunks; remainder goes one sample per
     client starting from client 0."""
     n = len(ds)
     if n_clients < 1 or n_clients > n:
         raise ValueError(f"cannot split {n} samples over {n_clients} clients")
     order = np.random.default_rng(seed).permutation(n)
-    return Partition(dict(enumerate(np.array_split(order, n_clients))), n_clients)
+    return np.array_split(order, n_clients)
 
 
 def partition_dirichlet(ds: Dataset, n_clients: int, alpha: float,
-                        seed: int) -> Partition:
+                        seed: int) -> list[np.ndarray]:
     """Label-skewed split: per class, client shares drawn from Dirichlet(alpha).
 
     Small alpha concentrates each class on few clients. Clients left empty by
@@ -202,7 +192,7 @@ def partition_dirichlet(ds: Dataset, n_clients: int, alpha: float,
             donor = int(np.argmax(sizes))  # argmax ties break to the lowest id
             parts[cid] = parts[donor][-1:]
             parts[donor] = parts[donor][:-1]
-    return Partition({cid: parts[cid] for cid in range(n_clients)}, n_clients)
+    return parts
 
 
 def sample_clients(n_clients: int, clients_per_round: int, round_no: int,

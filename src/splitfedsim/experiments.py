@@ -194,8 +194,7 @@ def choose_sweep_axis(rows: list[SweepRow]) -> str:
     return "cut"
 
 
-def plot_drop_curve(rows: list[SweepRow], axis: str, out_path: str,
-                    title: str = "accuracy drop") -> None:
+def plot_drop_curve(rows: list[SweepRow], axis: str, out_path: str) -> None:
     """Mean acc_drop (over seeds/other fields) against one sweep axis, as a
     self-contained SVG line chart. The y axis starts at 0, or below the
     lowest mean when a mean is negative (an attacked run beat its reference),
@@ -219,7 +218,7 @@ def plot_drop_curve(rows: list[SweepRow], axis: str, out_path: str,
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}" font-family="sans-serif" font-size="12">',
         f'<rect width="{w}" height="{h}" fill="white"/>',
-        f'<text x="{w / 2:.1f}" y="24" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{w / 2:.1f}" y="24" text-anchor="middle" font-size="15">accuracy drop</text>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
     ]

@@ -96,14 +96,13 @@ def make_instance(index: int, seed: int):
     raise RuntimeError(f"could not find a kink-free batch for {name}")
 
 
-def run_gradient_checks(count: int = 24, seed: int = 0,
-                        h: float = 1e-4) -> list[CheckResult]:
+def run_gradient_checks(count: int = 24, seed: int = 0) -> list[CheckResult]:
     """Compare analytic and numeric gradients on `count` random models."""
     results = []
     for i in range(count):
         desc, spec, params, batch, labels = make_instance(i, seed)
         analytic, _ = nn.grad(spec, params, batch, labels)
-        numeric = nn.finite_diff_grad(spec, params, batch, labels, h)
+        numeric = nn.finite_diff_grad(spec, params, batch, labels)
         err = float(relative_errors(analytic, numeric).max())
         results.append(CheckResult(desc, err))
     return results

@@ -12,8 +12,7 @@ MODEL_NAMES = ("mlp", "cnn")
 CUT_NAMES = ("v1", "v2", "v3")
 
 
-def mlp_spec(in_dim: int = 8, hidden: tuple[int, ...] = (32, 32, 16),
-             num_classes: int = 4) -> ModelSpec:
+def mlp_spec(in_dim: int = 8, num_classes: int = 4) -> ModelSpec:
     """Fully connected net: in_dim -> 32 -> 32 -> 16 -> num_classes.
 
     Cuts sit after the hidden ReLUs: v1 after the first block, v2 after the
@@ -22,7 +21,7 @@ def mlp_spec(in_dim: int = 8, hidden: tuple[int, ...] = (32, 32, 16),
     layers = []
     cut_at = []
     prev = in_dim
-    for width in hidden:
+    for width in (32, 32, 16):
         layers.append(Dense(prev, width))
         layers.append(ReLU())
         cut_at.append(len(layers))

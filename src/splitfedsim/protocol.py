@@ -19,10 +19,10 @@ portion trains honestly one client at a time (client_forward -> server_step
 -> client_backward per batch), and only the client portions pass through the
 aggregation rule. Poisoning therefore acts on the client portion alone, which
 is what makes the cut position matter. Every selected client, malicious ones
-too, trains and writes its row of the matrix; under an active attack the
-benign rows are gathered from it into the attacker's matrix. The SplitModel
-is splitfed's only state: every client starts from its client half, which
-takes the aggregate.
+too, trains; each client whose row the round aggregates (every one, or the
+benign ones under an active attack) writes its half straight into that
+matrix. The SplitModel is splitfed's only state: every client starts from
+its client half, which takes the aggregate.
 
 Every random choice comes from a fresh generator seeded from the experiment
 seed, so a config determines the full history bit for bit. The keys are not
@@ -43,8 +43,8 @@ from . import nn, split
 from .aggregation import AggregationRule, aggregate
 from .attacks import AttackSpec, BenignColumns, craft_round_update
 from .config import malicious_count
-from .datasets import Dataset, Partition, gen_blobs, load_idx, partition_dirichlet, \
-    partition_iid, sample_clients
+from .datasets import Dataset, gen_blobs, load_idx, partition_dirichlet, partition_iid, \
+    sample_clients
 from .models import build_model
 
 if TYPE_CHECKING:
@@ -162,6 +162,13 @@ def _active_attack(ctx: RoundContext, attack: AttackSpec) -> AttackSpec | None:
     return None
 
 
+def _row_clients(ctx: RoundContext, attack: AttackSpec | None) -> np.ndarray:
+    """The selected clients whose own rows the round aggregates: all of them,
+    or only the benign ones under an active attack, whose malicious slots the
+    crafted update fills."""
+    return ctx.selected if attack is None else ctx.selected[~ctx.mask]
+
+
 def _aggregate_round(ctx: RoundContext, rows: np.ndarray, current: np.ndarray,
                      losses: list[float], attack: AttackSpec | None, defense: str):
     """Aggregate one round. `attack` is None unless active. Without it, rows
@@ -216,42 +223,44 @@ def _crafted_aggregate(rule: AggregationRule, cols: BenignColumns, m: int,
 
 
 def run_fl_round(ctx: RoundContext, spec: nn.ModelSpec, global_params: np.ndarray,
-                 train: Dataset, part: Partition, batch_size: int, seed: int,
+                 train: Dataset, part: list[np.ndarray], batch_size: int, seed: int,
                  attack: AttackSpec, defense: str):
     """One fl round: the clients that train (every selected one, or only the
     benign ones under an active attack, whose slots the crafted update
     fills) start as rows of one stack copied from the global params and run
     their local epochs in lockstep. Returns (new global params, RoundInfo)."""
     attack = _active_attack(ctx, attack)
-    trained = ctx.selected if attack is None else ctx.selected[~ctx.mask]
+    trained = _row_clients(ctx, attack)
     stack = np.empty((trained.size, global_params.size))
     stack[...] = global_params
-    batches = [client_batches(part.shard(cid), batch_size, ctx.round_no, cid, seed)
+    batches = [client_batches(part[cid], batch_size, ctx.round_no, cid, seed)
                for cid in trained.tolist()]
     losses = local_epoch(spec, stack, train, batches, ctx.lr)
     return _aggregate_round(ctx, stack, global_params, losses, attack, defense)
 
 
 def run_splitfed_round(ctx: RoundContext, model: split.SplitModel, train: Dataset,
-                       part: Partition, batch_size: int, seed: int,
+                       part: list[np.ndarray], batch_size: int, seed: int,
                        attack: AttackSpec, defense: str) -> RoundInfo:
     """One splitfed round on `model`. Each client, lowest id first, starts
     from the round's client half; the server half is updated in place across
     clients. Malicious clients train too: the server half sees their
-    batches. The aggregate of the client halves becomes the model's."""
+    batches. The aggregate of the halves of _row_clients becomes the model's."""
+    attack = _active_attack(ctx, attack)
     start = model.client_params.copy()
-    matrix = np.empty((ctx.selected.size, start.size))
+    kept = _row_clients(ctx, attack)
+    rows = np.empty((kept.size, start.size))
+    row_of = dict(zip(kept.tolist(), rows))
     losses = []
-    for i, cid in enumerate(ctx.selected.tolist()):
+    for cid in ctx.selected.tolist():
         model.client_params[...] = start
-        for batch_idx in client_batches(part.shard(cid), batch_size, ctx.round_no,
+        for batch_idx in client_batches(part[cid], batch_size, ctx.round_no,
                                         cid, seed):
             x = train.features[batch_idx].reshape((-1,) + model.spec.input_shape)
             y = train.labels[batch_idx]
             losses.append(split.split_train_step(model, x, y, ctx.lr))
-        matrix[i] = model.client_params
-    attack = _active_attack(ctx, attack)
-    rows = matrix if attack is None else matrix[~ctx.mask]
+        if cid in row_of:
+            row_of[cid][...] = model.client_params
     new, info = _aggregate_round(ctx, rows, start, losses, attack, defense)
     model.client_params[...] = new
     return info
@@ -277,7 +286,7 @@ def build_datasets(config: "ExperimentConfig"):
     return train, test
 
 
-def build_partition(config: "ExperimentConfig", train: Dataset) -> Partition:
+def build_partition(config: "ExperimentConfig", train: Dataset) -> list[np.ndarray]:
     if config.partition == "iid":
         return partition_iid(train, config.n_clients, config.seed)
     return partition_dirichlet(train, config.n_clients, config.dirichlet_alpha,

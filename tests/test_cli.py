@@ -1,9 +1,12 @@
 """Command-line interface: subcommands, exit codes, config plumbing, and
 output files."""
 
+import os
 import re
 import shlex
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,8 @@ import pytest
 from splitfedsim.cli import _build_parser, main
 from splitfedsim.experiments import CSV_HEADER, read_results
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 TINY = [
     "--set", "blob_per_class=50",
@@ -278,3 +282,12 @@ def test_train_deterministic_csv(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("args,code", [(["gradcheck", "--count", "1"], 0),
+                                       (["bogus"], 1)])
+def test_python_dash_m_runs_the_cli(args, code):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "splitfedsim", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr

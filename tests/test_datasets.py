@@ -10,7 +10,6 @@ from splitfedsim.datasets import (
     CENTER_SCALE,
     Dataset,
     IdxFormatError,
-    Partition,
     blob_train_count,
     gen_blobs,
     idx_image_header,
@@ -185,27 +184,27 @@ def _toy_dataset(n, num_classes=4, seed=0):
     )
 
 
-def _assert_exact_partition(part: Partition, n_samples: int):
-    all_idx = np.concatenate([part.shard(c) for c in range(part.n_clients)])
+def _assert_exact_partition(part: list[np.ndarray], n_samples: int):
+    all_idx = np.concatenate(part)
     assert len(all_idx) == n_samples
     assert len(np.unique(all_idx)) == n_samples
 
 
 def test_partition_iid_equal_chunks():
     part = partition_iid(_toy_dataset(100), 10, seed=0)
-    sizes = [len(part.shard(c)) for c in range(10)]
+    sizes = [len(part[c]) for c in range(10)]
     assert sizes == [10] * 10
     _assert_exact_partition(part, 100)
 
 
 def test_partition_iid_single_client():
     part = partition_iid(_toy_dataset(37), 1, seed=0)
-    assert len(part.shard(0)) == 37
+    assert len(part[0]) == 37
 
 
 def test_partition_iid_remainder_spread_from_zero():
     part = partition_iid(_toy_dataset(103), 10, seed=1)
-    sizes = [len(part.shard(c)) for c in range(10)]
+    sizes = [len(part[c]) for c in range(10)]
     assert sizes == [11, 11, 11, 10, 10, 10, 10, 10, 10, 10]
     _assert_exact_partition(part, 103)
 
@@ -219,7 +218,7 @@ def test_partition_iid_deterministic():
     a = partition_iid(_toy_dataset(64), 8, seed=9)
     b = partition_iid(_toy_dataset(64), 8, seed=9)
     for c in range(8):
-        np.testing.assert_array_equal(a.shard(c), b.shard(c))
+        np.testing.assert_array_equal(a[c], b[c])
 
 
 def test_partition_dirichlet_exact_partition_and_nonempty():
@@ -227,7 +226,7 @@ def test_partition_dirichlet_exact_partition_and_nonempty():
     for alpha, seed in [(0.05, 0), (0.1, 1), (0.5, 2), (100.0, 3)]:
         part = partition_dirichlet(ds, 20, alpha=alpha, seed=seed)
         _assert_exact_partition(part, 400)
-        assert all(len(part.shard(c)) > 0 for c in range(20))
+        assert all(len(part[c]) > 0 for c in range(20))
 
 
 def test_partition_dirichlet_low_alpha_concentrates_labels():
@@ -235,7 +234,7 @@ def test_partition_dirichlet_low_alpha_concentrates_labels():
     part = partition_dirichlet(ds, 20, alpha=0.1, seed=7)
     shares = []
     for c in range(20):
-        labels = ds.labels[part.shard(c)]
+        labels = ds.labels[part[c]]
         counts = np.bincount(labels, minlength=4)
         shares.append(counts.max() / counts.sum())
     assert np.median(shares) > 0.5
@@ -249,7 +248,7 @@ def test_partition_dirichlet_high_alpha_close_to_uniform():
         overall = np.bincount(ds.labels, minlength=4) / len(ds)
         stats = []
         for c in range(20):
-            counts = np.bincount(ds.labels[part.shard(c)], minlength=4)
+            counts = np.bincount(ds.labels[part[c]], minlength=4)
             expect = counts.sum() * overall
             stats.append(float((((counts - expect) ** 2) / np.maximum(expect, 1e-9)).sum()))
         return np.mean(stats)
@@ -276,7 +275,7 @@ def test_partition_dirichlet_deterministic():
     a = partition_dirichlet(ds, 10, alpha=0.3, seed=11)
     b = partition_dirichlet(ds, 10, alpha=0.3, seed=11)
     for c in range(10):
-        np.testing.assert_array_equal(a.shard(c), b.shard(c))
+        np.testing.assert_array_equal(a[c], b[c])
 
 
 # ---------------------------------------------------------------- sampling

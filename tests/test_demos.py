@@ -1,4 +1,4 @@
-"""The demos run end to end on the public nn / split / aggregation API."""
+"""Every demo runs end to end on the package's public API."""
 
 import os
 import subprocess
@@ -11,11 +11,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["gradient_check.py", "split_equivalence.py",
-                                  "robust_aggregation.py"])
-def test_demo_exits_0(demo):
+                                  "robust_aggregation.py", "cut_sweep.py",
+                                  "poisoned_run.py"])
+def test_demo_exits_0(demo, tmp_path):
+    # cut_sweep writes its CSV and SVG into the working directory
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -92,7 +92,8 @@ def test_presets_expose_exactly_the_cuts_config_accepts(preset):
 
 
 def test_custom_mlp_dimensions():
-    spec = mlp_spec(in_dim=10, hidden=(6, 5), num_classes=3)
+    spec = mlp_spec(in_dim=10, num_classes=3)
     assert isinstance(spec.layers[0], Dense)
-    assert spec.shapes == [(10,), (6,), (6,), (5,), (5,), (3,)]
-    assert param_count(spec) == (10 * 6 + 6) + (6 * 5 + 5) + (5 * 3 + 3)
+    assert spec.shapes == [(10,), (32,), (32,), (32,), (32,), (16,), (16,), (3,)]
+    assert param_count(spec) == ((10 * 32 + 32) + (32 * 32 + 32) + (32 * 16 + 16)
+                                 + (16 * 3 + 3))

@@ -11,7 +11,7 @@ from splitfedsim import nn, protocol, split
 from splitfedsim.aggregation import aggregate
 from splitfedsim.attacks import AttackSpec, BenignColumns, craft_round_update
 from splitfedsim.config import ExperimentConfig
-from splitfedsim.datasets import Dataset, Partition, partition_dirichlet, partition_iid
+from splitfedsim.datasets import Dataset, partition_dirichlet, partition_iid
 from splitfedsim.models import mlp_spec
 from splitfedsim.protocol import (
     RoundContext,
@@ -152,7 +152,7 @@ def test_local_epoch_and_fl_round_leave_global_params_unchanged():
         np.testing.assert_array_equal(matrix[0], np.zeros(params.size))
         assert np.array_equal(matrix[1], before) == (not batches)
     # client 1's shard is empty, so its batch list is too
-    part = Partition({0: np.arange(40), 1: np.array([], dtype=int)}, 2)
+    part = [np.arange(40), np.array([], dtype=int)]
     ctx = RoundContext(0, np.array([0, 1]), frozenset(), lr=0.05)
     new_global, info = run_fl_round(ctx, spec, params, ds, part, 16, 7,
                                     _no_attack(), "fedavg")
@@ -172,7 +172,7 @@ def _replay_fl_round(ctx, spec, params, ds, part, batch_size, seed, attack, defe
         if active and malicious:
             continue
         local, batch_losses = params, []
-        for idx in client_batches(part.shard(cid), batch_size, ctx.round_no, cid, seed):
+        for idx in client_batches(part[cid], batch_size, ctx.round_no, cid, seed):
             g, loss = nn.grad(spec, local, ds.features[idx], ds.labels[idx])
             local = nn.sgd_step(local, g, ctx.lr)
             batch_losses.append(loss)
@@ -192,14 +192,12 @@ def _replay_fl_round(ctx, spec, params, ds, part, batch_size, seed, attack, defe
 def _uneven_shards(ds, batch_size):
     """Dirichlet shards of ds over 10 clients, and an 11th client with an
     empty shard."""
-    dirichlet = partition_dirichlet(ds, 10, 0.05, seed=7)
-    shards = {cid: dirichlet.shard(cid) for cid in range(10)}
-    shards[10] = np.array([], dtype=np.int64)
-    sizes = [shards[cid].size for cid in range(11)]
+    shards = partition_dirichlet(ds, 10, 0.05, seed=7) + [np.array([], dtype=np.int64)]
+    sizes = [shard.size for shard in shards]
     # the first step has several batch sizes, and a last batch holds one sample
     assert len({min(n, batch_size) for n in sizes if n}) > 2
     assert 1 in [n % batch_size for n in sizes if n > batch_size]
-    return Partition(shards, 11)
+    return shards
 
 
 @pytest.mark.parametrize("attack,defense", [
@@ -272,7 +270,7 @@ def test_fl_round_single_client_is_centralized_epoch():
         ctx, spec, params, ds, part, batch_size=16, seed=7,
         attack=_no_attack(), defense="fedavg",
     )
-    batches = client_batches(part.shard(0), 16, 0, 0, seed=7)
+    batches = client_batches(part[0], 16, 0, 0, seed=7)
     manual = params[None].copy()
     assert [info.loss] == local_epoch(spec, manual, ds, [batches], lr=0.05)
     np.testing.assert_array_equal(new_global, manual[0])
@@ -283,7 +281,7 @@ def test_fl_round_identical_shards_average_to_member():
     spec = mlp_spec()
     ds = _toy_data(n=8, seed=4)
     shared = np.array([3])
-    part = Partition({0: shared, 1: shared}, 2)
+    part = [shared, shared]
     params = nn.init_params(spec, 4)
     ctx = RoundContext(0, np.array([0, 1]), frozenset(), lr=0.05)
     new_global, info = run_fl_round(
@@ -478,7 +476,7 @@ def test_splitfed_round_single_client_is_centralized():
             attack=_no_attack(), defense="fedavg",
         )
         manual = params
-        for idx in client_batches(part.shard(0), 16, 0, 0, seed=11):
+        for idx in client_batches(part[0], 16, 0, 0, seed=11):
             g, _ = nn.grad(spec, manual, ds.features[idx], ds.labels[idx])
             manual = nn.sgd_step(manual, g, 0.05)
         np.testing.assert_array_equal(model.params, manual)
@@ -511,11 +509,13 @@ def test_splitfed_malicious_training_still_feeds_server():
     model_attacked = split.split_at(spec, params, split.CutPoint(4))
     model_clean = split.split_at(spec, params, split.CutPoint(4))
     ctx = RoundContext(0, np.arange(4), frozenset({1}), lr=0.05)
-    run_splitfed_round(ctx, model_attacked, ds, part, 16, 5,
-                       AttackSpec(kind="lie", start_round=0), "median")
+    attacked = run_splitfed_round(ctx, model_attacked, ds, part, 16, 5,
+                                  AttackSpec(kind="lie", start_round=0), "median")
     ctx2 = RoundContext(0, np.arange(4), frozenset({1}), lr=0.05)
-    run_splitfed_round(ctx2, model_clean, ds, part, 16, 5, _no_attack(), "median")
+    clean = run_splitfed_round(ctx2, model_clean, ds, part, 16, 5, _no_attack(), "median")
     np.testing.assert_array_equal(model_attacked.server_params, model_clean.server_params)
+    # each benign client's half sits in its own slot of the attacker's matrix
+    assert attacked.benign_rows.tobytes() == clean.rows[~ctx.mask].tobytes()
     # only the forged submission differs, so only the client halves do
     assert not np.array_equal(model_attacked.client_params, model_clean.client_params)
 

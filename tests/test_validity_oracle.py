@@ -100,7 +100,7 @@ def test_every_valid_config_trains_or_fails_clearly(idx_fields, monkeypatch):
             outcomes["failed clearly"] += 1
             continue
         except Exception as e:  # anything else is a defect
-            pytest.fail(f"draw {i}: {type(e).__name__}: {e}\n{config.to_text()}")
+            pytest.fail(f"draw {i}: {type(e).__name__}: {e}\n{config}")
         outcomes["finished"] += 1
         covered.add((config.model, config.mode,
                      config.cut if config.mode == "splitfed" else "-"))
