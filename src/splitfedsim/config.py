@@ -113,18 +113,21 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"idx_test_images holds {test_rows}x{test_cols} images, "
                     f"but idx_train_images holds {rows}x{cols}")
-            in_dim, dim_field = rows * cols, "idx_train_images"
+            in_dim, dim_field, image = rows * cols, "idx_train_images", (1, rows, cols)
         else:
             n_train = self.blob_classes * datasets.blob_train_count(self.blob_per_class)
-            in_dim, dim_field = self.blob_dims, "blob_dims"
+            in_dim, dim_field, image = self.blob_dims, "blob_dims", None
         if self.n_clients > n_train:
             raise ConfigError(f"n_clients must be at most the {n_train} training "
                               f"samples, got {self.n_clients}")
         if self.model == "cnn":
             try:  # build_model owns the cnn's input geometry; any class count will do
-                build_model(self.model, in_dim, 2)
+                shape = build_model(self.model, in_dim, 2).input_shape
             except ValueError as e:
                 raise ConfigError(f"{dim_field}: {e}") from None
+            if image is not None and image != shape:
+                raise ConfigError(f"idx_train_images: the cnn reads {shape} images, "
+                                  f"but the files hold {image}")
         if self.defense == "trmean":
             worst = min(m_total, self.clients_per_round)
             if self.clients_per_round <= 2 * worst:

@@ -260,12 +260,16 @@ class ModelSpec:
     """A validated layer stack with named cut presets.
 
     cut_presets maps names like "v1" to a layer index i, meaning the first i
-    layers form the client portion when the model is split there.
+    layers form the client portion when the model is split there. shapes[i]
+    is the per-sample input shape of layer i (shapes[-1] the logits'), and
+    layout the flat vector's layout; both are derived once, at construction.
     """
     layers: tuple[Layer, ...]
     input_shape: tuple[int, ...]
     num_classes: int
     cut_presets: dict[str, int] = field(default_factory=dict)
+    shapes: list[tuple[int, ...]] = field(init=False, repr=False)
+    layout: Layout = field(init=False, repr=False)
 
     def __post_init__(self):
         self.layers = tuple(self.layers)
@@ -279,16 +283,8 @@ class ModelSpec:
         for name, idx in self.cut_presets.items():
             if not 1 <= idx <= len(self.layers) - 1:
                 raise BuildError(f"cut preset {name!r}={idx} outside [1, {len(self.layers) - 1}]")
-        self._shapes = shapes
-        self._layout = segment_layout(self.layers)
-
-    @property
-    def shapes(self) -> list[tuple[int, ...]]:
-        return self._shapes
-
-    @property
-    def layout(self) -> Layout:
-        return self._layout
+        self.shapes = shapes
+        self.layout = segment_layout(self.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +462,15 @@ def grad(spec: ModelSpec, params: np.ndarray, batch: np.ndarray,
     params may be a stack (G, d) of G models, with batch (G, B, *input_shape)
     and labels (G, B): every model takes its own batch in the one call, and
     the gradient (G, d) and the G losses carry the bits of G separate calls."""
-    if params.ndim == 2:
-        lead = params.shape[:1]
-        if params.shape[1] != spec.layout.size:
-            raise ShapeError(f"parameter stack has shape {params.shape}, "
-                             f"expected (G, {spec.layout.size})")
-        if np.ndim(batch) < 1 or np.shape(batch)[0] != lead[0]:
-            raise ShapeError(f"batch shape {np.shape(batch)} does not match "
-                             f"parameter stack shape {params.shape}")
-        tensors = spec.layout.views(params)
-    else:
-        lead = ()
-        tensors = unflatten_params(spec, params)
+    size = spec.layout.size
+    lead = params.shape[:-1]
+    if params.ndim not in (1, 2) or params.shape[-1] != size:
+        raise ShapeError(f"parameters have shape {params.shape}, "
+                         f"expected ({size},) or (G, {size})")
+    if np.shape(batch)[:len(lead)] != lead:
+        raise ShapeError(f"batch shape {np.shape(batch)} does not match "
+                         f"parameter stack shape {params.shape}")
+    tensors = spec.layout.views(params)
     if out is not None and out.shape != params.shape:
         raise ShapeError(f"gradient buffer shape {out.shape} does not match "
                          f"params {params.shape}")

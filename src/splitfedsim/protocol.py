@@ -129,7 +129,8 @@ def local_epoch(spec: nn.ModelSpec, stack: np.ndarray, train: Dataset,
     and batches[i] its mini-batches. At each batch index, the clients with a
     batch there step in one nn.grad call per batch size: on the stack itself
     when that is every client, else on their rows gathered and scattered
-    back. Returns each client's mean batch loss (0.0 without batches)."""
+    back. train holds each sample in spec.input_shape, as train() leaves it.
+    Returns each client's mean batch loss (0.0 without batches)."""
     if stack.ndim != 2 or len(stack) != len(batches):
         raise nn.ShapeError(f"stack shape {stack.shape} does not match "
                             f"{len(batches)} clients' batches")
@@ -142,10 +143,9 @@ def local_epoch(spec: nn.ModelSpec, stack: np.ndarray, train: Dataset,
                 groups.setdefault(client[t].size, []).append(i)
         for members in groups.values():
             idx = np.stack([batches[i][t] for i in members])
-            x = train.features[idx].reshape(idx.shape + spec.input_shape)
             whole = len(members) == len(stack)
             params = stack if whole else stack[members]
-            g, loss = nn.grad(spec, params, x, train.labels[idx],
+            g, loss = nn.grad(spec, params, train.features[idx], train.labels[idx],
                               out=grad_buf[:len(members)])
             nn.sgd_update(params, g, lr)
             if not whole:
@@ -192,8 +192,6 @@ def _aggregate_round(ctx: RoundContext, rows: np.ndarray, current: np.ndarray,
         vec, gamma, deviation = craft_round_update(attack, cols, ctx.m_round, rule)
     except FloatingPointError as e:
         raise FloatingPointError(f"round {ctx.round_no}: {e}") from e
-    if vec.shape != current.shape:
-        raise nn.ShapeError("crafted update does not match the aggregated parameters")
     matrix = np.empty((ctx.selected.size, current.size))
     matrix[~ctx.mask] = rows
     matrix[ctx.mask] = vec
@@ -245,7 +243,8 @@ def run_splitfed_round(ctx: RoundContext, model: split.SplitModel, train: Datase
     """One splitfed round on `model`. Each client, lowest id first, starts
     from the round's client half; the server half is updated in place across
     clients. Malicious clients train too: the server half sees their
-    batches. The aggregate of the halves of _row_clients becomes the model's."""
+    batches. The aggregate of the halves of _row_clients becomes the model's.
+    train holds each sample in the model's input shape, as train() leaves it."""
     attack = _active_attack(ctx, attack)
     start = model.client_params.copy()
     kept = _row_clients(ctx, attack)
@@ -256,9 +255,8 @@ def run_splitfed_round(ctx: RoundContext, model: split.SplitModel, train: Datase
         model.client_params[...] = start
         for batch_idx in client_batches(part[cid], batch_size, ctx.round_no,
                                         cid, seed):
-            x = train.features[batch_idx].reshape((-1,) + model.spec.input_shape)
-            y = train.labels[batch_idx]
-            losses.append(split.split_train_step(model, x, y, ctx.lr))
+            losses.append(split.split_train_step(
+                model, train.features[batch_idx], train.labels[batch_idx], ctx.lr))
         if cid in row_of:
             row_of[cid][...] = model.client_params
     new, info = _aggregate_round(ctx, rows, start, losses, attack, defense)
@@ -267,11 +265,11 @@ def run_splitfed_round(ctx: RoundContext, model: split.SplitModel, train: Datase
 
 
 def evaluate(spec: nn.ModelSpec, params: np.ndarray, test: Dataset) -> float:
-    """Fraction of the test set classified correctly."""
+    """Fraction of the test set classified correctly; test holds each sample
+    in spec.input_shape, as train() leaves it."""
     if len(test) == 0:
         raise ValueError("test set is empty")
-    x = test.features.reshape((-1,) + spec.input_shape)
-    logits = nn.forward(spec, params, x)
+    logits = nn.forward(spec, params, test.features)
     return float(np.mean(logits.argmax(axis=1) == test.labels))
 
 
@@ -308,8 +306,9 @@ def train(config: "ExperimentConfig") -> list[RoundRecord]:
     are no longer finite, so that a diverged run never reports accuracy."""
     config.validate()
     train_ds, test_ds = build_datasets(config)
-    feat_dim = int(np.prod(train_ds.features.shape[1:]))
-    spec = build_model(config.model, feat_dim, train_ds.num_classes)
+    spec = build_model(config.model, train_ds.features[0].size, train_ds.num_classes)
+    for ds in (train_ds, test_ds):   # a view: each sample as the model reads it
+        ds.features = ds.features.reshape((-1,) + spec.input_shape)
     part = build_partition(config, train_ds)
     malicious = pick_malicious(config.n_clients, config.malicious_fraction,
                                config.seed)

@@ -1,11 +1,12 @@
 """Shared fixtures for the test suite.
 
-Three jobs live here:
+Four jobs live here:
 
 * a session-scoped cache of full training runs, so the end-to-end checks in
   test_acceptance.py can share the expensive desk-scale experiments instead of
   re-running identical configurations,
-* hand-written IDX files for the config and CLI checks of `dataset = idx`, and
+* hand-written IDX files for the config and CLI checks of `dataset = idx`,
+* the dense gamma-grid oracle of the gamma search's optimality checks, and
 * a terminal-summary hook that prints one PASS/FAIL line per numbered
   end-to-end criterion (tests named ``test_cNN_*``), so the verdicts are
   readable without scrolling through the full pytest output.
@@ -17,8 +18,11 @@ import re
 import struct
 import time
 
+import numpy as np
 import pytest
 
+from splitfedsim.aggregation import reduce_window, rule_window
+from splitfedsim.attacks import BenignColumns
 from splitfedsim.config import ExperimentConfig
 from splitfedsim.experiments import accuracy_drop, final_accuracy
 from splitfedsim.protocol import train
@@ -74,23 +78,48 @@ def session_clock():
 
 @pytest.fixture
 def idx_fields(tmp_path):
-    """Factory: write an IDX image file (magic 0x803, all-zero pixels, or the
-    16-byte header alone when body is False) and a label file (magic 0x801,
-    labels alternating 0 and 1) for the train and the test split, each given
-    as (count, rows, cols); return the config fields that name them."""
-    def make(train, test, body=True):
+    """Factory: write an IDX image file (magic 0x803, all-zero pixels, or
+    pixels drawn from rng when given, or the 16-byte header alone when body
+    is False) and a label file (magic 0x801, labels alternating 0 and 1) for
+    the train and the test split, each given as (count, rows, cols); return
+    the config fields that name them."""
+    def make(train, test, body=True, rng=None):
         fields = {"dataset": "idx"}
         for split, (count, rows, cols) in (("train", train), ("test", test)):
             images = tmp_path / f"{split}-images.idx"
             labels = tmp_path / f"{split}-labels.idx"
-            images.write_bytes(struct.pack(">IIII", 0x803, count, rows, cols)
-                               + bytes(count * rows * cols if body else 0))
+            size = count * rows * cols if body else 0
+            pixels = bytes(size) if rng is None else \
+                rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+            images.write_bytes(struct.pack(">IIII", 0x803, count, rows, cols) + pixels)
             labels.write_bytes(struct.pack(">II", 0x801, count)
                                + bytes(i % 2 for i in range(count)))
             fields[f"idx_{split}_images"] = str(images)
             fields[f"idx_{split}_labels"] = str(labels)
         return fields
     return make
+
+
+def _grid_deviations(benign, m, perturb, rule, grid):
+    """agr_deviation(benign, m, perturb, g, rule) for every g of grid, with
+    the same bits: the benign rows and the m crafted rows of every grid point
+    are one (n + m, len(grid), d) array, sorted once along its row axis; the
+    rule's window of it is reduced by reduce_window, and each point's
+    distance is its own np.linalg.norm, as in agr_deviation."""
+    cols = BenignColumns(benign)
+    mean, direction = cols.mean, cols.perturbation(perturb)
+    n, d = cols.rows.shape
+    stack = np.empty((n + m, grid.size, d))
+    stack[:n] = cols.rows[:, None]
+    stack[n:] = mean + grid[:, None] * direction
+    lo, hi = rule_window(rule, n + m)
+    outputs = reduce_window(rule, np.sort(stack, axis=0)[lo:hi])
+    return [float(np.linalg.norm(mean - out)) for out in outputs]
+
+
+@pytest.fixture(scope="session")
+def grid_deviations():
+    return _grid_deviations
 
 
 def pytest_runtest_logreport(report):

@@ -148,12 +148,6 @@ def test_deviation_matches_direct_norm():
 # ---------------------------------------------------------------- gamma search
 
 
-def _grid_oracle(benign, m, perturb, rule, hi=10.0, step=1e-3):
-    gammas = np.arange(0.0, hi + step, step)
-    devs = [agr_deviation(benign, m, perturb, g, rule) for g in gammas]
-    return max(devs)
-
-
 def test_gamma_search_degenerate_identical_rows():
     benign = np.tile([1.0, 2.0], (3, 1))
     res = gamma_search(benign, 1, "std", AggregationRule("median"), 10.0, 1e-5)
@@ -188,9 +182,10 @@ def test_gamma_search_requires_benign_rows():
         gamma_search(np.empty((0, 2)), 1, "std", AggregationRule("median"), 10.0, 1e-5)
 
 
-def test_gamma_search_near_grid_oracle_random_instances():
+def test_gamma_search_near_grid_oracle_random_instances(grid_deviations):
     rng = np.random.default_rng(0)
-    for _ in range(20):
+    grid = np.arange(0.0, 10.0 + 2e-3, 2e-3)
+    for instance in range(20):
         n = int(rng.integers(4, 10))
         d = int(rng.integers(1, 6))
         m = int(rng.integers(1, 3))
@@ -201,8 +196,11 @@ def test_gamma_search_near_grid_oracle_random_instances():
                 trim = (n + m - 1) // 2
             rule = AggregationRule(rule_kind, trim_count=trim)
             res = gamma_search(benign, m, "std", rule, 10.0, 1e-5)
-            oracle = _grid_oracle(benign, m, "std", rule, step=2e-3)
-            assert res.deviation >= 0.99 * oracle
+            devs = grid_deviations(benign, m, "std", rule, grid)
+            if instance == 0:
+                each = [agr_deviation(benign, m, "std", g, rule) for g in grid]
+                assert np.array(devs).tobytes() == np.array(each).tobytes()
+            assert res.deviation >= 0.99 * max(devs)
             # the search never invents deviation beyond the true curve
             direct = agr_deviation(benign, m, "std", res.gamma, rule)
             assert res.deviation <= direct * (1 + 1e-9) + 1e-12

@@ -146,11 +146,13 @@ def _set_all(fields):
 
 
 def test_idx_dataset_trains(tmp_path, idx_fields):
-    out = tmp_path / "r.csv"
-    assert main(["train", *TINY, *_set_all(idx_fields((40, 8, 8), (10, 8, 8))),
-                 "--set", "model=cnn", "--set", "rounds=1",
-                 "--out", str(out)]) == 0
-    assert read_results(str(out))[0].model == "cnn"
+    # the cnn reads s x s images as they are, the mlp any image flattened
+    for model, rows, cols in (("cnn", 8, 8), ("mlp", 4, 16), ("mlp", 16, 4)):
+        out = tmp_path / f"{model}-{rows}x{cols}.csv"
+        fields = idx_fields((40, rows, cols), (10, rows, cols))
+        assert main(["train", *TINY, *_set_all(fields), "--set", f"model={model}",
+                     "--set", "rounds=1", "--out", str(out)]) == 0
+        assert read_results(str(out))[0].model == model
 
 
 @pytest.mark.parametrize("train,test,setting,field", [
@@ -158,6 +160,8 @@ def test_idx_dataset_trains(tmp_path, idx_fields):
     ((3, 8, 8), (10, 8, 8), "model=mlp", "n_clients"),          # 3 images, 20 clients
     ((40, 6, 6), (10, 3, 3), "model=mlp", "idx_test_images"),   # 6x6 against 3x3
     ((40, 8, 8), (0, 8, 8), "model=mlp", "idx_test_images"),    # no test images
+    ((40, 4, 16), (10, 4, 16), "model=cnn", "idx_train_images"),  # 64 pixels, not 8x8
+    ((40, 16, 4), (10, 16, 4), "model=cnn", "idx_train_images"),
     (None, None, "blob_per_class=5", "n_clients"),   # 4 * 4 training samples, 20 clients
 ])
 def test_config_the_data_cannot_serve_exit_1(tmp_path, capsys, idx_fields,

@@ -145,6 +145,15 @@ def test_validate_idx_reads_only_the_image_headers(idx_fields):
     ExperimentConfig(model="cnn", **fields).validate()
 
 
+@pytest.mark.parametrize("rows,cols", [(4, 16), (16, 4)])
+def test_validate_cnn_reads_idx_images_only_in_their_own_shape(idx_fields, rows, cols):
+    # 64 pixels make an 8x8 cnn, which would read each image's pixels reordered
+    fields = idx_fields((40, rows, cols), (10, rows, cols), body=False)
+    with pytest.raises(ConfigError, match="^idx_train_images: "):
+        ExperimentConfig(model="cnn", **fields).validate()
+    ExperimentConfig(model="mlp", **fields).validate()
+
+
 def test_resolved_attack_start():
     base = ExperimentConfig()
     iid = dataclasses.replace(base, partition="iid")

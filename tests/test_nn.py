@@ -475,6 +475,8 @@ def test_stacked_grad_rejects_shapes_that_do_not_match():
         (stack, x, y[:, :4], [(3, 4), (3, 5)]),                  # B differs
         (stack, x[0], y[0], [stack.shape, (5, 8)]),              # no client axis
         (stack[:, :-1], x, y, [(3, param_count(spec) - 1)]),     # width
+        (stack[0, :-1], x[0], y[0], [(param_count(spec) - 1,)]), # one vector's width
+        (stack[None], x[None], y[None], [(1,) + stack.shape]),   # 3-D params
     ]
     for params, batch, labels, shapes in cases:
         with pytest.raises(ShapeError) as err:

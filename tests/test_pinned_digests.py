@@ -3,7 +3,8 @@
 The benchmark's golden digests only run the MLP (Dense and ReLU). These pins
 cover 3-round attacked runs (trmean against agropt) of the MLP and of the CNN
 (Conv2d, MaxPool2d, Flatten), in FL and in SplitFed at cuts v1 and v3, and
-three FL runs whose rounds aggregate their rows unattacked or under lie. Each
+three FL runs whose rounds aggregate their rows unattacked or under lie,
+and the attacked runs again on IDX image files (see IDX_PINS). Each
 pins the SHA-256 of the train() records and of the final parameters. The
 first were taken with the layout rebuilt on every call, gradients
 concatenated and SGD out of place, so they show that the precompiled layer
@@ -11,6 +12,7 @@ plan changed no bit.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
 from splitfedsim import protocol
@@ -103,3 +105,42 @@ def test_fl_runs_that_aggregate_their_rows_are_pinned(model, attack, partition,
                               blob_per_class=50, partition=partition,
                               defense=defense, attack=attack, rounds=3)
     assert _train_digests(config, monkeypatch) == FL_PINS[(model, attack, partition, defense)]
+
+
+# The attacked runs above on IDX image files that the test writes: random
+# pixels from a fixed rng, labels of two classes, 200 training and 60 test
+# images. The loader gives (N, 1, rows, cols) features; the MLP reads 4x16
+# images flattened and the CNN 8x8 ones as they are. Taken while every
+# mini-batch and the test set were reshaped to the model's input on each use,
+# so they show that reshaping the features once per run changed no bit.
+IDX_PINS = {
+    ("mlp", "fl", "v2"): (
+        "82e8ccf26794cee88e456d63e12b85ba0cdd5c01dd5b95792e7a477633d38231",
+        "ecbe86381e20d5f0536e78f939b7d36d94201df03c2a36dae09f3486eb9c127d"),
+    ("mlp", "splitfed", "v1"): (
+        "ef85db3360cfdbd0f7d52e61a768e5f8b5bf8b91b0da155d700f6212e52946a2",
+        "a39333d7ce7652081207931bdd7a4a70394c97c13473d9de03fd287b321f2005"),
+    ("mlp", "splitfed", "v3"): (
+        "e89a7697b2fdadf7ebb3a889e6f5860db8017760c199638b63b73809726d407e",
+        "79f2d5856202d110a2b7deced640d7f01881f8556104dfe27c186013c8f066fe"),
+    ("cnn", "fl", "v2"): (
+        "ecdc27a35d5161ebb345a91f59b28877269611e27ed66d347260ba6ce835759c",
+        "b642514a8c2ab6a2b207a2b8a01fe9c02e821116a9d3e8e72368684f0616bc44"),
+    ("cnn", "splitfed", "v1"): (
+        "a65307c623111f7258f9e95beced19edf2d88a8d5bebe497ecf156f03b9a3fa3",
+        "acd98aa9d17f92d77cbd879d51b8c598488f66ffde1bb6d9a6261760a1fa97dc"),
+    ("cnn", "splitfed", "v3"): (
+        "dada9cf52794008f15fc6e80f9bc04ae45c919212a0c81a908b3e00c00bc8732",
+        "9c99deee50f5f222d54ec1497c9e1c82aa71c2292e63316d1f052f5657d0fb99"),
+}
+IDX_IMAGE = {"mlp": (4, 16), "cnn": (8, 8)}
+
+
+@pytest.mark.parametrize("model,mode,cut", sorted(IDX_PINS), ids="-".join)
+def test_idx_runs_are_pinned(model, mode, cut, idx_fields, monkeypatch):
+    rows, cols = IDX_IMAGE[model]
+    fields = idx_fields((200, rows, cols), (60, rows, cols),
+                        rng=np.random.default_rng(16))
+    config = ExperimentConfig(seed=42, mode=mode, model=model, cut=cut,
+                              defense="trmean", attack="agropt", rounds=3, **fields)
+    assert _train_digests(config, monkeypatch) == IDX_PINS[(model, mode, cut)]

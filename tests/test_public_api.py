@@ -42,7 +42,7 @@ UNREAD_ON_PURPOSE = {
         "bench/workloads.py digests it through getattr, by its name in DIGEST_FIELDS",
     ("split", "SplitModel", "server_params"): "where the tests observe the round",
     ("protocol", "RoundInfo", "benign_rows"): "where the tests observe the round",
-    ("protocol", "RoundRecord", "wall_ms"): "per-round time, which ROADMAP item 3's trace will read",
+    ("protocol", "RoundRecord", "wall_ms"): "per-round time, which ROADMAP item 2's trace will read",
 }
 
 # Defaults no call overrides.
