@@ -3,8 +3,8 @@
 The federated server only aggregates - and the attacker only corrupts - the
 client-side portion of the model. Moving the cut deeper hands the attacker
 more parameters: 288 of 1940 at v1, 1344 at v2, 1872 at v3. This sweep runs
-the same poisoned experiment at each cut, writes the standard results CSV,
-and draws the accuracy-drop curve as an SVG.
+the same poisoned experiment at each cut, on two worker processes, writes the
+standard results CSV, and draws the accuracy-drop curve as an SVG.
 """
 from splitfedsim.config import ExperimentConfig
 from splitfedsim.experiments import plot_drop_curve, read_results, run_sweep, write_results
@@ -16,7 +16,7 @@ SVG_PATH = "cut_sweep.svg"
 def main():
     base = ExperimentConfig(defense="trmean", attack="agropt").validate()
     print("sweeping cut in {v1, v2, v3}, trmean defense, 20% malicious, seed 42")
-    result = run_sweep(base, {"cut": ["v1", "v2", "v3"]})
+    result = run_sweep(base, {"cut": ["v1", "v2", "v3"]}, n_jobs=2)
     for desc, reason in result.skipped:
         print(f"  skipped {desc}: {reason}")
 

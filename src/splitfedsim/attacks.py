@@ -9,16 +9,17 @@ Two families:
   aggregation rule moves from the benign mean when m copies of the crafted
   row join the benign rows.
 
-Nothing here sorts the stacked rows. The m crafted rows are identical, so
-BenignColumns sorts the benign columns once per round, and a _CraftedStack
-places the crafted value into that order and reduces only the rows of the
-rule's window, with the same rule_window and reduce_window that aggregate
-uses. The gamma search evaluates every deviation that way, bit for bit the
-one that stacking the rows and calling aggregate gives; agr_deviation still
-takes that route and is the reference the tests hold the search to. The
-round loop (protocol._aggregate_round) takes the attacked round's aggregate
-from the same stack, BenignColumns.stack, and aggregates the stacked rows
-again only in the columns whose result is zero or not finite.
+Nothing here sorts the stacked rows. BenignColumns sorts the benign columns
+once per round; the m crafted rows are identical, so row j of the sorted
+stack is the crafted value clamped to [sorted[j - m], sorted[j]], and a
+_CraftedStack reduces that clamp over the rule's window with the same
+rule_window and reduce_window that aggregate uses. The gamma search
+evaluates every deviation that way, bit for bit the one that stacking the
+rows and calling aggregate gives; agr_deviation still takes that route and
+is the reference the tests hold the search to. The round loop
+(protocol._aggregate_round) takes the attacked round's aggregate from the
+same stack and aggregates the stacked rows again only in its zero columns,
+where a +0.0/-0.0 tie may have given the other sign.
 
 All crafting reads only the benign rows it is given; nothing here inspects
 malicious clients' own data.
@@ -170,15 +171,11 @@ class _CraftedStack:
     """What a rule makes of the benign rows stacked with m copies of one
     crafted row, read off the benign columns sorted once.
 
-    Where k sorted benign values of a column sort before the crafted value v
-    (np.sort puts NaN last, so a NaN v has k = n), row j of the sorted stack
-    is sorted[j] for j < k, v for k <= j < k + m, and sorted[j - m] above.
-    The rule reads only rows lo..hi-1, so `below` holds sorted[j] and `above`
-    sorted[j - m] for those j, padded where the row does not exist: a NaN pad
-    never sorts before v, and a -inf pad sorts before every v but -inf, which
-    it equals. Then j < k exactly where below < v, and j < k + m exactly where
-    above < v, except in the NaN columns. Benign values equal to v count as
-    after it; they are the same value either way.
+    Row j of the column-sorted stack is the crafted value v clamped to
+    [sorted[j - m], sorted[j]]. For the rows lo..hi-1 of the rule's window,
+    `above` holds sorted[j - m] (-inf where j < m) and `below` sorted[j]
+    (NaN where j >= n, which np.fmin passes over). A NaN v sorts last, as
+    np.sort puts it: np.maximum keeps the NaN and np.fmin takes sorted[j].
     """
 
     def __init__(self, sorted_benign: np.ndarray, m: int, rule: AggregationRule):
@@ -190,21 +187,13 @@ class _CraftedStack:
         self.below[j < n] = sorted_benign[j[j < n]]
         self.above = np.full((hi - lo, d), -np.inf)
         self.above[j >= m] = sorted_benign[j[j >= m] - m]
-        self.head = (j < n)[:, None]   # the rows a NaN v has before it
 
     def aggregate(self, crafted: np.ndarray) -> np.ndarray:
         """aggregate(rule, stack): the same sums in the same order, so the
         same bits, except that where +0.0 and -0.0 tie a zero may take the
         other sign, which no deviation can see."""
-        before = self.below < crafted
-        inside = self.above < crafted
-        nan = np.isnan(crafted)
-        if nan.any():
-            before[:, nan] = self.head
-            inside[:, nan] = True
-        win = np.where(inside, crafted, self.above)   # rows lo..hi-1 of the stack
-        np.copyto(win, self.below, where=before)
-        return reduce_window(self.rule, win)
+        return reduce_window(self.rule, np.fmin(np.maximum(crafted, self.above),
+                                                self.below))
 
 
 def gamma_search(benign: np.ndarray | BenignColumns, m: int, perturb: str,

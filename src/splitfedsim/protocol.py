@@ -204,17 +204,17 @@ def _crafted_aggregate(rule: AggregationRule, cols: BenignColumns, m: int,
     """aggregate(rule, matrix) for a matrix of the benign rows and m copies
     of vec, read off the attacker's sort of the benign columns.
 
-    The stack's window holds the same values in the same order as the
-    sorted matrix, so every nonzero finite result has the same bits; only
-    where +0.0 and -0.0 tie may a zero take the other sign. The columns
-    whose result is zero or infinite are therefore aggregated again from
-    the matrix itself. A NaN's sign bit depends on where its column falls
-    in NumPy's vector loop, so a round with a NaN result, which the train
-    loop rejects anyway, aggregates the whole matrix."""
+    Row j of the sorted matrix is vec clamped between two sorted benign
+    rows, so the stack's window holds the same values in the same order and
+    every result has the same bits, except that where +0.0 and -0.0 tie a
+    zero may take the other sign. The zero columns are therefore aggregated
+    again from the matrix itself. A NaN's sign bit depends on where its
+    column falls in NumPy's vector loop, so a round with a NaN result, which
+    the train loop rejects anyway, aggregates the whole matrix."""
     new = cols.stack(m, rule).aggregate(vec)
     if np.isnan(new).any():
         return aggregate(rule, matrix)
-    redo = np.flatnonzero((new == 0.0) | np.isinf(new))
+    redo = np.flatnonzero(new == 0.0)
     if redo.size:
         new[redo] = aggregate(rule, matrix[:, redo])
     return new

@@ -69,6 +69,47 @@ def test_trace_sees_every_layer_the_round_loop_runs(tmp_path):
         assert not missing, (mode, missing)
 
 
+# Two traced passes of a 2-worker sweep over two cuts, each cell with its
+# no-attack reference: 4 unique runs, the attack starting at round 1
+_TRACE_SWEEP_PASSES = _IMPORT_AS_RUN_PY + """
+import json
+from splitfedsim import experiments
+from splitfedsim.config import ExperimentConfig
+tracer = tracing.Tracer(sys.argv[1])
+base = ExperimentConfig(mode="splitfed", attack="agropt", attack_start_round=1,
+                        rounds=2, blob_per_class=50, n_clients=4,
+                        clients_per_round=4, partition="iid", defense="trmean")
+passes = []
+for _ in range(2):
+    tracer.pass_no += 1
+    with tracing.installed(tracer):
+        result = experiments.run_sweep(base, {"cut": ["v1", "v3"]}, n_jobs=2)
+        tracer.flush("parent")
+    assert not result.skipped, result.skipped
+    summary = tracing.summarize(sys.argv[1], tracer.pass_no)
+    passes.append({"runs": summary.calls[tracing.RUN],
+                   "metrics": tracing.layer_metrics(summary, 4 * base.rounds, 2)})
+print(json.dumps({"exact": tracing.EXACT, "passes": passes}))
+"""
+
+
+def test_traced_sweep_passes_count_one_run_span_per_run_and_repeat_exactly(tmp_path):
+    """bench/run.py --trace 1 fails a pass whose run spans do not number the
+    sweep's unique runs, or whose exact counts differ from another pass's, so
+    a sweep that trains its runs other than one train() call each would fail
+    the benchmark."""
+    proc = subprocess.run([sys.executable, "-c", _TRACE_SWEEP_PASSES, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    first, second = out["passes"]
+    assert first["runs"] == second["runs"] == 4
+    assert first["metrics"]["attacks.gamma_search.evals"] > 0
+    differ = {key: (first["metrics"][key], second["metrics"][key])
+              for key in out["exact"] if first["metrics"][key] != second["metrics"][key]}
+    assert not differ, differ
+
+
 # The kernel table of every workload, checked against BENCHMARK.json's
 # per-layer kernel names
 _KERNEL_TABLES = _IMPORT_AS_RUN_PY + """
