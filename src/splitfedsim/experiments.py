@@ -2,12 +2,13 @@
 byte-stable CSV format, and a small self-contained SVG line chart.
 
 Every attacked cell is paired with a reference run whose config differs only
-in the attack field, so accuracy drops always compare like with like.
+in the attack field, so accuracy drops always compare like with like. The
+process pool is imported only when a sweep uses more than one process, so a
+single run never loads it.
 """
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,15 +83,24 @@ class SweepResult:
 
 def _cell_configs(base: ExperimentConfig, axes: dict[str, list]):
     """Expand axes into configs, deterministic product order. Each value is set
-    as the config line `field = value`, as --set values are, so text works."""
+    as the config line `field = value`, as --set values are, so text works.
+    An axis that would train the same runs twice is a ConfigError: one that
+    repeats a value after parsing, or a cut axis in fl mode, which has no cut."""
     for name in axes:
         if name not in SWEEP_AXES:
             raise ConfigError(
                 f"unknown sweep axis {name!r}, expected one of {sorted(SWEEP_AXES)}")
+    if "cut" in axes and base.mode == "fl":
+        raise ConfigError("sweep axis 'cut' has no effect in mode = fl")
     cells = [base]
     for name, values in axes.items():
         field = SWEEP_AXES[name]
-        cells = [parse_config_text(f"{field} = {v}", c) for c in cells for v in values]
+        parsed = [getattr(parse_config_text(f"{field} = {v}", base), field)
+                  for v in values]
+        for i, v in enumerate(parsed):
+            if v in parsed[:i]:
+                raise ConfigError(f"sweep axis {name!r} repeats the value {v!r}")
+        cells = [dataclasses.replace(c, **{field: v}) for c in cells for v in parsed]
     return cells
 
 
@@ -99,8 +109,9 @@ def run_sweep(base: ExperimentConfig, axes: dict[str, list],
     """Run every cell of the grid with its paired no-attack reference.
 
     Identical configs are run once and shared (an attack=none cell is its own
-    reference). n_jobs > 1 distributes the unique runs over processes; results
-    are merged in a fixed order either way.
+    reference). n_jobs > 1 distributes the unique runs over processes, and
+    only then is the process pool imported; results are merged in a fixed
+    order either way.
     """
     cells = _cell_configs(base, axes)
     skipped: list[tuple[str, str]] = []
@@ -121,6 +132,8 @@ def run_sweep(base: ExperimentConfig, axes: dict[str, list],
     keys = sorted(unique)
     configs = [unique[k] for k in keys]
     if n_jobs > 1 and len(configs) > 1:
+        # imported here: a single run skips loading multiprocessing (~25 ms)
+        from concurrent.futures import ProcessPoolExecutor
         # the fork start method launches every worker up front
         with ProcessPoolExecutor(max_workers=min(n_jobs, len(configs))) as pool:
             histories = list(pool.map(train, configs))

@@ -4,7 +4,7 @@ Four jobs live here:
 
 * a session-scoped cache of full training runs, so the end-to-end checks in
   test_acceptance.py can share the expensive desk-scale experiments instead of
-  re-running identical configurations,
+  re-running identical configurations, and train them two at a time,
 * hand-written IDX files for the config and CLI checks of `dataset = idx`,
 * the dense gamma-grid oracle of the gamma search's optimality checks, and
 * a terminal-summary hook that prints one PASS/FAIL line per numbered
@@ -17,6 +17,7 @@ import dataclasses
 import re
 import struct
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -48,6 +49,19 @@ class RunCache:
 
     def __init__(self) -> None:
         self._runs: dict[tuple, list] = {}
+
+    def prefetch(self, configs: list[ExperimentConfig]) -> None:
+        """Train the configs and their attack = none references that are not
+        cached yet, two at a time in worker processes."""
+        todo: dict[tuple, ExperimentConfig] = {}
+        for config in configs:
+            for c in (config, dataclasses.replace(config, attack="none")):
+                key = dataclasses.astuple(c)
+                if key not in self._runs:
+                    todo.setdefault(key, c.validate())
+        if todo:
+            with ProcessPoolExecutor(max_workers=2) as pool:
+                self._runs.update(zip(todo, pool.map(train, todo.values())))
 
     def records(self, config: ExperimentConfig):
         key = dataclasses.astuple(config)

@@ -9,8 +9,9 @@ budget of this whole suite (c11).  The conftest prints one PASS/FAIL line
 per criterion at the end of the run.
 
 The desk-scale experiments (c05-c08) share full training runs through the
-session-scoped run cache; every run is deterministic in its config, so
-sharing changes nothing but wall time.
+session-scoped run cache, and each first trains the runs it reads two at a
+time (RunCache.prefetch); every run is deterministic in its config, so
+sharing and parallel training change nothing but wall time.
 """
 from __future__ import annotations
 
@@ -157,8 +158,11 @@ def test_c05_cut_layer_ordering(run_cache):
     accuracy drop at the deepest preset must beat the shallowest one in every
     seed, with at least a 5-point mean gap, inside a 10-minute budget."""
     t0 = time.monotonic()
-    v1 = [run_cache.drop(_desk(seed=s, cut="v1")) for s in DESK_SEEDS]
-    v3 = [run_cache.drop(_desk(seed=s, cut="v3")) for s in DESK_SEEDS]
+    shallow_cells = [_desk(seed=s, cut="v1") for s in DESK_SEEDS]
+    deep_cells = [_desk(seed=s, cut="v3") for s in DESK_SEEDS]
+    run_cache.prefetch(shallow_cells + deep_cells)
+    v1 = [run_cache.drop(c) for c in shallow_cells]
+    v3 = [run_cache.drop(c) for c in deep_cells]
     for shallow, deep in zip(v1, v3):
         assert shallow < deep
     assert float(np.mean(v3)) - float(np.mean(v1)) >= 5.0
@@ -171,8 +175,11 @@ def test_c05_cut_layer_ordering(run_cache):
 def test_c06_fl_dominance(run_cache):
     """Attacking the whole model (federated mode) should hurt at least as
     much as attacking the deepest client portion, within a 1-point margin."""
-    fl = [run_cache.drop(_desk(seed=s, mode="fl")) for s in DESK_SEEDS]
-    v3 = [run_cache.drop(_desk(seed=s, cut="v3")) for s in DESK_SEEDS]
+    fl_cells = [_desk(seed=s, mode="fl") for s in DESK_SEEDS]
+    deep_cells = [_desk(seed=s, cut="v3") for s in DESK_SEEDS]
+    run_cache.prefetch(fl_cells + deep_cells)
+    fl = [run_cache.drop(c) for c in fl_cells]
+    v3 = [run_cache.drop(c) for c in deep_cells]
     assert float(np.mean(fl)) >= float(np.mean(v3)) - 1.0
 
 
@@ -182,9 +189,11 @@ def test_c06_fl_dominance(run_cache):
 def test_c07_defense_ordering(run_cache):
     """The coordinate median resists the tailored attack at least as well as
     the trimmed mean at the deepest cut."""
-    med = [run_cache.drop(_desk(seed=s, cut="v3", defense="median"))
-           for s in DESK_SEEDS]
-    tm = [run_cache.drop(_desk(seed=s, cut="v3")) for s in DESK_SEEDS]
+    median_cells = [_desk(seed=s, cut="v3", defense="median") for s in DESK_SEEDS]
+    trmean_cells = [_desk(seed=s, cut="v3") for s in DESK_SEEDS]
+    run_cache.prefetch(median_cells + trmean_cells)
+    med = [run_cache.drop(c) for c in median_cells]
+    tm = [run_cache.drop(c) for c in trmean_cells]
     assert float(np.mean(med)) <= float(np.mean(tm))
 
 
@@ -195,8 +204,10 @@ def test_c08_malicious_fraction_monotonicity(run_cache):
     """More attackers, more damage: drops are non-decreasing across the
     fraction grid within a 2-point per-step noise allowance, and an empty
     attacker set changes nothing at all."""
-    drops = [run_cache.drop(_desk(seed=42, malicious_fraction=frac))
+    cells = [_desk(seed=42, malicious_fraction=frac)
              for frac in (0.0, 0.02, 0.10, 0.20, 0.30)]
+    run_cache.prefetch(cells)
+    drops = [run_cache.drop(c) for c in cells]
     assert drops[0] == 0.0
     for earlier, later in zip(drops, drops[1:]):
         assert later >= earlier - 2.0

@@ -212,6 +212,20 @@ def test_sweep_repeated_axis_is_an_error(capsys):
     assert err.startswith("error: ") and "'seed'" in err and "more than once" in err
 
 
+@pytest.mark.parametrize("sets,axis,name", [
+    ([], "frac=0.2,0.20", "'frac'"),
+    (["--set", "mode=fl"], "seed=42,42", "'seed'"),
+    (["--set", "mode=fl"], "cut=v1,v2", "'cut'"),
+])
+def test_sweep_axis_that_repeats_a_run_exit_1(tmp_path, capsys, sets, axis, name):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", *TINY, *sets, "--set", "rounds=2", "--axis", axis,
+                 "--out", str(out)])
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_jobs_below_one_is_usage_error(capsys, jobs):
     assert main(["sweep", *TINY, "--jobs", jobs]) == 1

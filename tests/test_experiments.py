@@ -1,13 +1,17 @@
 """Sweep runner, summary metrics, CSV persistence, and the SVG chart."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from splitfedsim import experiments
 from splitfedsim.config import ConfigError, ExperimentConfig
 from splitfedsim.experiments import (
     CSV_HEADER,
@@ -139,7 +143,7 @@ def test_run_sweep_pool_has_at_most_one_worker_per_run(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     cfg = _tiny_config(attack="lie", rounds=1)
     result = run_sweep(cfg, {}, n_jobs=5000)   # one cell and its reference
     assert seen == [2]
@@ -149,6 +153,44 @@ def test_run_sweep_pool_has_at_most_one_worker_per_run(monkeypatch):
 def test_run_sweep_unknown_axis():
     with pytest.raises(ConfigError, match="axis"):
         run_sweep(_tiny_config(), {"momentum": [0.9]})
+
+
+@pytest.mark.parametrize("overrides,axes,name", [
+    ({}, {"frac": ["0.2", "0.20"]}, "frac"),
+    ({"mode": "fl"}, {"seed": [42, "42"]}, "seed"),
+    ({"mode": "fl"}, {"cut": ["v1", "v2"]}, "cut"),
+    ({"mode": "fl"}, {"cut": ["v3"]}, "cut"),
+])
+def test_run_sweep_axis_that_repeats_a_run(overrides, axes, name):
+    """A repeated value, or a cut in fl mode, where the cut is ignored, would
+    train the same runs twice and write identical rows."""
+    with pytest.raises(ConfigError, match=f"axis '{name}'"):
+        run_sweep(_tiny_config(**overrides), axes)
+
+
+_SETUP_IMPORTS = """
+import sys
+from splitfedsim import cli, config, experiments, models, nn, protocol, split
+POOL = {"multiprocessing", "concurrent.futures.process"}
+assert not POOL & sys.modules.keys(), POOL & sys.modules.keys()
+base = config.ExperimentConfig(seed=2, blob_per_class=50, n_clients=4,
+                               clients_per_round=4, rounds=2, partition="iid",
+                               attack="lie")
+serial = experiments.run_sweep(base, {"seed": [2, 3]}, n_jobs=1)
+assert not POOL & sys.modules.keys(), "a one-process sweep loaded the pool"
+assert experiments.run_sweep(base, {"seed": [2, 3]}, n_jobs=2) == serial
+assert POOL <= sys.modules.keys()
+"""
+
+
+def test_setup_imports_leave_out_the_process_pool():
+    """What one run imports (bench/setup_probe.py, bench/workloads.py, the
+    CLI) loads no process pool; only a sweep over two or more processes
+    imports it, and that sweep gives the serial result."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _SETUP_IMPORTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_run_sweep_zero_rounds_yields_no_rows():
