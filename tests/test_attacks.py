@@ -7,8 +7,10 @@ mean-shift baseline."""
 import numpy as np
 import pytest
 
+from splitfedsim import attacks
 from splitfedsim.aggregation import AggregationRule, aggregate
 from splitfedsim.attacks import (
+    PERTURB_KINDS,
     AttackSpec,
     BenignColumns,
     GammaSearchResult,
@@ -328,7 +330,8 @@ def test_crafted_stack_rejects_overtrimmed_stack():
 
 def _gamma_search_by_sorting(benign, m, perturb, rule, gamma_init=10.0, tau=1e-5):
     """The halving search with every deviation taken by stacking the rows and
-    sorting them through aggregate: the reference gamma_search must match."""
+    sorting them through aggregate, at every gamma probed: the reference
+    gamma_search must match."""
     benign = np.asarray(benign, dtype=float)
     cols = BenignColumns(benign)
     gb, gp = cols.mean, cols.perturbation(perturb)
@@ -352,20 +355,80 @@ def _gamma_search_by_sorting(benign, m, perturb, rule, gamma_init=10.0, tau=1e-5
     return GammaSearchResult(top_gamma, top_dev, evals)
 
 
-def test_gamma_search_identical_to_sorting_search():
+def _result_bits(res):
+    """A GammaSearchResult as exact bits: float.hex tells -0.0 from 0.0."""
+    gamma = None if res.gamma is None else float(res.gamma).hex()
+    return gamma, float(res.deviation).hex(), res.evaluations
+
+
+class _CountedStack(_CraftedStack):
+    """A _CraftedStack that counts its aggregate calls."""
+    calls = 0
+
+    def aggregate(self, crafted):
+        _CountedStack.calls += 1
+        return super().aggregate(crafted)
+
+
+def test_gamma_search_identical_to_sorting_search(monkeypatch):
+    # gamma_init from 0.05 to 10 puts the gamma where the crafted row is
+    # first clamped in every column early, midway, late or nowhere in the
+    # search, so the deviations it reuses past that point are held too
+    monkeypatch.setattr(attacks, "_CraftedStack", _CountedStack)
     rng = np.random.default_rng(13)
+    calls = set()
     with np.errstate(invalid="ignore"):
         for n in range(1, 9):
             for m in range(1, n + 1):
                 instances = (rng.normal(size=(n, 5)), _awkward_rows(rng, n, 5),
                              np.round(rng.normal(size=(n, 5)), 1))
                 for benign in instances:
-                    for perturb in ("std", "unit", "sign"):
+                    for perturb in PERTURB_KINDS:
                         for rule in _rules(n + m, m):
-                            want = _gamma_search_by_sorting(benign, m, perturb, rule)
-                            got = gamma_search(benign, m, perturb, rule)
-                            assert got == want
-                            assert got.evaluations == 19
+                            for gamma_init in (0.05, 0.3, 1.0, 3.0, 10.0):
+                                want = _gamma_search_by_sorting(benign, m, perturb, rule,
+                                                                gamma_init)
+                                before = _CountedStack.calls
+                                got = gamma_search(benign, m, perturb, rule, gamma_init)
+                                calls.add(_CountedStack.calls - before)
+                                assert _result_bits(got) == _result_bits(want)
+    # some searches reuse from the second probe on, some from a later one,
+    # and some never
+    assert {2, 19} <= calls and any(2 < c < 19 for c in calls)
+
+
+def test_gamma_search_reuses_only_once_every_column_is_past_its_side():
+    # median of 5 benign rows and 2 crafted reads sorted row 3, the crafted
+    # value clamped to [sorted[1], sorted[3]]. Under "sign", column 0 (mean
+    # 2) moves down and is clamped to sorted[1] = 1 from gamma = 1 on.
+    # Column 1 (mean -18.8) moves up from below sorted[1] = 0: its output
+    # stays 0 at gamma 10 and 15, so the deviation repeats there, but the
+    # crafted value enters the window past gamma 18.8 and the deviation
+    # grows. A crafted value outside the window on the side that gp moves
+    # it away from is not clamped.
+    benign = np.array([[0.0, -100.0], [1.0, 0.0], [2.0, 1.0], [3.0, 2.0], [4.0, 3.0]])
+    rule = AggregationRule("median")
+    want = _gamma_search_by_sorting(benign, 2, "sign", rule)
+    assert want.deviation > agr_deviation(benign, 2, "sign", 15.0, rule)
+    got = gamma_search(benign, 2, "sign", rule)
+    assert _result_bits(got) == _result_bits(want)
+
+
+@pytest.mark.parametrize("rule", [AggregationRule("median"),
+                                  AggregationRule("trmean", trim_count=4)],
+                         ids=["median", "trmean4"])
+def test_gamma_search_on_a_plateau_aggregates_at_most_twice(rule, monkeypatch):
+    # under "std" at gamma_init 10 the crafted row is past the window in
+    # every column from the first probe on: the second probe repeats the
+    # deviation and the clamp check lets the other 17 reuse it
+    monkeypatch.setattr(attacks, "_CraftedStack", _CountedStack)
+    benign = np.random.default_rng(15).normal(size=(16, 300))
+    _CountedStack.calls = 0
+    got = gamma_search(benign, 4, "std", rule, gamma_init=10.0)
+    assert _CountedStack.calls <= 2
+    assert got.evaluations == 19
+    assert _result_bits(got) == _result_bits(
+        _gamma_search_by_sorting(benign, 4, "std", rule))
 
 
 def test_craft_round_update_matches_sorting_search():

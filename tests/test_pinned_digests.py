@@ -4,11 +4,12 @@ The benchmark's golden digests only run the MLP (Dense and ReLU). These pins
 cover 3-round attacked runs (trmean against agropt) of the MLP and of the CNN
 (Conv2d, MaxPool2d, Flatten), in FL and in SplitFed at cuts v1 and v3, and
 three FL runs whose rounds aggregate their rows unattacked or under lie,
-and the attacked runs again on IDX image files (see IDX_PINS). Each
-pins the SHA-256 of the train() records and of the final parameters. The
-first were taken with the layout rebuilt on every call, gradients
-concatenated and SGD out of place, so they show that the precompiled layer
-plan changed no bit.
+two 20-round median runs whose perturbations have mixed signs (see
+MIXED_SIGN_PINS), and the attacked runs again on IDX image files (see
+IDX_PINS). Each pins the SHA-256 of the train() records and of the final
+parameters. The first were taken with the layout rebuilt on every call,
+gradients concatenated and SGD out of place, so they show that the
+precompiled layer plan changed no bit.
 """
 import hashlib
 
@@ -144,3 +145,30 @@ def test_idx_runs_are_pinned(model, mode, cut, idx_fields, monkeypatch):
     config = ExperimentConfig(seed=42, mode=mode, model=model, cut=cut,
                               defense="trmean", attack="agropt", rounds=3, **fields)
     assert _train_digests(config, monkeypatch) == IDX_PINS[(model, mode, cut)]
+
+
+# 20-round attacked median runs under the perturbations whose entries take
+# both signs, so that the crafted row moves up in some columns and down in
+# others as gamma grows. Taken while the gamma search still evaluated every
+# gamma it probed, so they show that reusing the deviation past the clamp
+# changed no bit. A reuse check that counted a crafted value outside the
+# window as clamped whichever way gamma moves it, run after every probe,
+# changed the SplitFed run's deviations at rounds 14 and 19.
+MIXED_SIGN_PINS = {
+    ("splitfed", "cnn", "unit"): (
+        "b09e1cf311f2cb105887e80be4c831ebb7b2806d783898ad8253185bdfa9cec7",
+        "f87078e1bae29069a652b538f2f076c8309a4fd2542ae2a40737d38ea9106b08"),
+    ("fl", "mlp", "sign"): (
+        "95049310370fe3e2011cced32d37eb2ff11bb890d5b0b523e80c92d23f62da5b",
+        "70b4ecfa8e521eacec12892da83b2a37fcd07cd7796284254d5fc99018c6e632"),
+}
+MIXED_SIGN_DATA = {"cnn": dict(cut="v1", blob_dims=144), "mlp": dict(blob_dims=16)}
+
+
+@pytest.mark.parametrize("mode,model,perturb", sorted(MIXED_SIGN_PINS),
+                         ids=["-".join(key) for key in sorted(MIXED_SIGN_PINS)])
+def test_mixed_sign_perturbation_runs_are_pinned(mode, model, perturb, monkeypatch):
+    config = ExperimentConfig(seed=1234, mode=mode, model=model, blob_per_class=50,
+                              defense="median", attack="agropt", agropt_perturb=perturb,
+                              rounds=20, **MIXED_SIGN_DATA[model])
+    assert _train_digests(config, monkeypatch) == MIXED_SIGN_PINS[(mode, model, perturb)]
