@@ -6,19 +6,17 @@ fans, forward and backward (see Layer). Parameters live in a single flat
 float64 vector so that federated code can treat a model as one array.
 Where each tensor sits in that vector is a Layout, built once per layer
 tuple by segment_layout and cached; every parameter count and every view
-of a flat vector reads it. Backward writes each parameter gradient into its
-slice of one flat gradient vector, so no step concatenates tensors.
-Forward/backward are written so that running the layer chain in two pieces
-produces bit-identical results to running it whole: the split training
-engine reuses segment_forward/segment_backward directly.
+of a flat vector reads it, and ParamViews keeps a buffer's views. Backward
+writes each parameter gradient into its slice of one flat gradient vector,
+so no step concatenates tensors. Running the layer chain in two pieces gives
+the bits of running it whole: split.py's handoff shows it.
 
 Every layer kind also takes a stack of models: a leading client axis on x,
 on its tensors and on its gradients, each client computing with its own
 tensors on its own batch. Dense and Conv2d run one stacked matmul per
 product, which gives each client the bits of its own 2-D product; ReLU is
 elementwise; MaxPool2d folds the client axis into the batch and Flatten
-keeps it. grad takes a (G, d) stack of flat vectors that way, so G clients
-step in one call.
+keeps it. So grad steps a (G, d) stack of G clients in one call.
 """
 from __future__ import annotations
 
@@ -321,6 +319,25 @@ def segment_layout(layers: tuple[Layer, ...]) -> Layout:
     return Layout(tuple(slots), off)
 
 
+class ParamViews:
+    """A flat parameter buffer, one model's (d,) or a (G, d) stack, with fixed
+    tensor views of it and a gradient buffer whose fixed views each backward
+    overwrites: a buffer that steps many times builds its views once. The
+    views of a one-row stack (one_row) are its model's, without the client
+    axis: the same bits, with less dispatch in every layer."""
+
+    def __init__(self, layers: tuple[Layer, ...], params: np.ndarray):
+        layout = segment_layout(layers)
+        if params.ndim not in (1, 2) or params.shape[-1] != layout.size:
+            raise ShapeError(f"parameters have shape {params.shape}, "
+                             f"expected ({layout.size},) or (G, {layout.size})")
+        self.layers, self.params = layers, params
+        self.grad = np.empty(params.shape)
+        self.one_row = params.shape[:-1] == (1,)
+        model, grad = (params[0], self.grad[0]) if self.one_row else (params, self.grad)
+        self.tensors, self.grads = layout.views(model), layout.views(grad)
+
+
 def segment_param_count(layers: tuple[Layer, ...]) -> int:
     return segment_layout(tuple(layers)).size
 
@@ -452,36 +469,33 @@ def _check_labels(labels: np.ndarray, num_classes: int,
     return labels
 
 
-def grad(spec: ModelSpec, params: np.ndarray, batch: np.ndarray,
-         labels: np.ndarray, out: np.ndarray | None = None):
-    """forward + backward on one view of params. Returns (flat gradient, loss);
-    each layer writes its slice of the gradient, into `out` if given, else a
-    fresh vector, and layer 0 stops at its parameter gradients (nobody reads
-    the input gradient).
+def grad(spec: ModelSpec, params: np.ndarray | ParamViews, batch: np.ndarray,
+         labels: np.ndarray):
+    """forward + backward on params. Returns (flat gradient, loss); each layer
+    writes its slice of the gradient, and layer 0 stops at its parameter
+    gradients (nobody reads the input gradient).
 
-    params may be a stack (G, d) of G models, with batch (G, B, *input_shape)
-    and labels (G, B): every model takes its own batch in the one call, and
-    the gradient (G, d) and the G losses carry the bits of G separate calls."""
-    size = spec.layout.size
-    lead = params.shape[:-1]
-    if params.ndim not in (1, 2) or params.shape[-1] != size:
-        raise ShapeError(f"parameters have shape {params.shape}, "
-                         f"expected ({size},) or (G, {size})")
+    params is one flat vector, or a stack (G, d) of G models with batch
+    (G, B, *input_shape) and labels (G, B): every model takes its own batch
+    in the one call, and the gradient (G, d) and the G losses carry the bits
+    of G separate calls. ParamViews lend their views and gradient buffer,
+    which the next call overwrites; for an array the call builds its own."""
+    held = params if isinstance(params, ParamViews) else ParamViews(spec.layers, params)
+    if held.layers != spec.layers:
+        raise ShapeError("parameter views were built for other layers than the model's")
+    lead = held.params.shape[:-1]
     if np.shape(batch)[:len(lead)] != lead:
         raise ShapeError(f"batch shape {np.shape(batch)} does not match "
-                         f"parameter stack shape {params.shape}")
-    tensors = spec.layout.views(params)
-    if out is not None and out.shape != params.shape:
-        raise ShapeError(f"gradient buffer shape {out.shape} does not match "
-                         f"params {params.shape}")
+                         f"parameter stack shape {held.params.shape}")
     batch = _check_batch(batch, spec.input_shape, lead)
-    acts, aux = segment_forward(spec.layers, tensors, batch)
     labels = _check_labels(labels, spec.num_classes, batch.shape[:len(lead) + 1])
+    if held.one_row:
+        batch, labels = batch[0], labels[0]
+    acts, aux = segment_forward(spec.layers, held.tensors, batch)
     loss, dlogits = softmax_cross_entropy(acts[-1], labels)
-    g = np.empty(params.shape) if out is None else out
-    segment_backward(spec.layers, tensors, acts, aux, dlogits,
-                     spec.layout.views(g), input_grad=False)
-    return g, loss
+    segment_backward(spec.layers, held.tensors, acts, aux, dlogits, held.grads,
+                     input_grad=False)
+    return held.grad, [loss] if held.one_row else loss
 
 
 def finite_diff_grad(spec: ModelSpec, params: np.ndarray, batch: np.ndarray,

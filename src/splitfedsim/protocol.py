@@ -7,22 +7,17 @@ the benign rows form their own matrix, the one the attacker's statistics
 read; the submitted matrix is a copy of those rows with the crafted attack
 vector in the malicious slots.
 
-In fl mode a row is the client's full parameter vector after one local epoch.
-The clients that train (all selected ones, or only the benign ones under an
-active attack) are one (G, d) stack and run their epochs in lockstep: at
-each batch index, every client with a batch there steps in one nn.grad call
-per batch size, with the bits of training alone. Under an attack that stack
-is the benign matrix the attacker sorts.
-
-In splitfed mode clients only hold the portion below the cut; the server
-portion trains honestly one client at a time (client_forward -> server_step
--> client_backward per batch), and only the client portions pass through the
-aggregation rule. Poisoning therefore acts on the client portion alone, which
-is what makes the cut position matter. Every selected client, malicious ones
-too, trains; each client whose row the round aggregates (every one, or the
-benign ones under an active attack) writes its half straight into that
-matrix. The SplitModel is splitfed's only state: every client starts from
-its client half, which takes the aggregate.
+Both modes train through local_epoch, which steps a (G, d) stack of whole
+models in lockstep, one nn.grad call per batch index and batch size. In fl
+mode the stack is the clients that train (every selected one, or the benign
+ones under an active attack, when it is the benign matrix the attacker
+sorts), and a row is a client's full parameter vector after its epoch. In
+splitfed mode every selected client, malicious ones too, trains in turn,
+lowest id first (SFLV2), on the SplitModel's one-row view: it starts from
+the round's client half, and the server half carries over from client to
+client. Only the client halves pass through the aggregation rule, so
+poisoning acts on them alone, which is what makes the cut position matter.
+The SplitModel is splitfed's only state.
 
 Every random choice comes from a fresh generator seeded from the experiment
 seed, so a config determines the full history bit for bit. The keys are not
@@ -122,37 +117,39 @@ def round_rule(defense: str, m_round: int) -> AggregationRule:
     return AggregationRule(defense)
 
 
-def local_epoch(spec: nn.ModelSpec, stack: np.ndarray, train: Dataset,
-                batches: list[list[np.ndarray]], lr: float) -> list[float]:
+def local_epoch(spec: nn.ModelSpec, stack: np.ndarray | nn.ParamViews, train: Dataset,
+                batches: list[list[np.ndarray]], lr: float) -> list[list[float]]:
     """One epoch of mini-batch SGD for each client of a stack, in lockstep:
-    row i of the (G, d) stack holds client i's parameters, updated in place,
-    and batches[i] its mini-batches. At each batch index, the clients with a
-    batch there step in one nn.grad call per batch size: on the stack itself
-    when that is every client, else on their rows gathered and scattered
-    back. train holds each sample in spec.input_shape, as train() leaves it.
-    Returns each client's mean batch loss (0.0 without batches)."""
+    row i of the (G, d) stack, or of ParamViews over it, holds client i's
+    parameters, updated in place, and batches[i] its mini-batches. At each
+    batch index, the clients with a batch there step in one nn.grad call per
+    batch size: on the stack's views when that is every client, else on their
+    rows gathered and scattered back. train holds each sample in
+    spec.input_shape. Returns each client's batch losses, in order."""
+    held = stack if isinstance(stack, nn.ParamViews) else nn.ParamViews(spec.layers, stack)
+    stack = held.params
     if stack.ndim != 2 or len(stack) != len(batches):
         raise nn.ShapeError(f"stack shape {stack.shape} does not match "
                             f"{len(batches)} clients' batches")
     losses = [[] for _ in batches]
-    grad_buf = np.empty_like(stack)
     for t in range(max(map(len, batches), default=0)):
         groups: dict[int, list[int]] = {}
         for i, client in enumerate(batches):
             if t < len(client):
                 groups.setdefault(client[t].size, []).append(i)
         for members in groups.values():
-            idx = np.stack([batches[i][t] for i in members])
+            idx = np.array([batches[i][t] for i in members])
             whole = len(members) == len(stack)
-            params = stack if whole else stack[members]
-            g, loss = nn.grad(spec, params, train.features[idx], train.labels[idx],
-                              out=grad_buf[:len(members)])
-            nn.sgd_update(params, g, lr)
+            rows = stack if whole else stack[members]
+            # take gathers the same rows as fancy indexing, with less dispatch
+            g, loss = nn.grad(spec, held if whole else rows,
+                              train.features.take(idx, axis=0), train.labels[idx])
+            nn.sgd_update(rows, g, lr)
             if not whole:
-                stack[members] = params
+                stack[members] = rows
             for i, value in zip(members, loss):
                 losses[i].append(value)
-    return [float(np.mean(client)) if client else 0.0 for client in losses]
+    return losses
 
 
 def _active_attack(ctx: RoundContext, attack: AttackSpec) -> AttackSpec | None:
@@ -229,11 +226,11 @@ def run_fl_round(ctx: RoundContext, spec: nn.ModelSpec, global_params: np.ndarra
     their local epochs in lockstep. Returns (new global params, RoundInfo)."""
     attack = _active_attack(ctx, attack)
     trained = _row_clients(ctx, attack)
-    stack = np.empty((trained.size, global_params.size))
-    stack[...] = global_params
+    stack = np.tile(global_params, (trained.size, 1))
     batches = [client_batches(part[cid], batch_size, ctx.round_no, cid, seed)
                for cid in trained.tolist()]
-    losses = local_epoch(spec, stack, train, batches, ctx.lr)
+    losses = [float(np.mean(client)) if client else 0.0
+              for client in local_epoch(spec, stack, train, batches, ctx.lr)]
     return _aggregate_round(ctx, stack, global_params, losses, attack, defense)
 
 
@@ -241,10 +238,11 @@ def run_splitfed_round(ctx: RoundContext, model: split.SplitModel, train: Datase
                        part: list[np.ndarray], batch_size: int, seed: int,
                        attack: AttackSpec, defense: str) -> RoundInfo:
     """One splitfed round on `model`. Each client, lowest id first, starts
-    from the round's client half; the server half is updated in place across
-    clients. Malicious clients train too: the server half sees their
-    batches. The aggregate of the halves of _row_clients becomes the model's.
-    train holds each sample in the model's input shape, as train() leaves it."""
+    from the round's client half and trains the whole model through
+    local_epoch on model.row, so the server half carries over, and sees the
+    malicious clients' batches too. The aggregate of the halves of
+    _row_clients becomes the model's; the round's loss is the mean over all
+    batches. train holds each sample in the model's input shape."""
     attack = _active_attack(ctx, attack)
     start = model.client_params.copy()
     kept = _row_clients(ctx, attack)
@@ -253,10 +251,8 @@ def run_splitfed_round(ctx: RoundContext, model: split.SplitModel, train: Datase
     losses = []
     for cid in ctx.selected.tolist():
         model.client_params[...] = start
-        for batch_idx in client_batches(part[cid], batch_size, ctx.round_no,
-                                        cid, seed):
-            losses.append(split.split_train_step(
-                model, train.features[batch_idx], train.labels[batch_idx], ctx.lr))
+        batches = client_batches(part[cid], batch_size, ctx.round_no, cid, seed)
+        losses += local_epoch(model.spec, model.row, train, [batches], ctx.lr)[0]
         if cid in row_of:
             row_of[cid][...] = model.client_params
     new, info = _aggregate_round(ctx, rows, start, losses, attack, defense)

@@ -6,13 +6,13 @@ Every per-layer float operation is the same code path as the unsplit model
 (segment_forward/segment_backward), so training a model split at any cut
 produces bit-identical parameters to training it whole.
 
-A SplitModel holds the whole model as one flat parameter buffer. Each half
-is a fixed view of its slice, with tensor views built once for the model's
-life; a caller starts a half from other parameters by copying into its view.
-Backward writes the gradient into a flat buffer the half owns, and
+So a SplitFed round trains each client's whole model through
+protocol.local_epoch and nn.grad, and these steps are the oracle that shows
+that the handoff computes the same bits. A SplitModel holds the model as one
+flat buffer with a fixed view of each half, which a caller starts from other
+parameters by copying into it. Each step builds its half's views, and
 nn.sgd_update updates the half in place. The client's backward stops at
-layer 0's parameter gradients: the gradient wrt the input batch has no
-reader.
+layer 0's parameter gradients: the input gradient has no reader.
 
 Each input is checked once, where it enters the step: the batch and labels
 in client_forward, the cut gradient in client_backward, the learning rate in
@@ -43,40 +43,30 @@ class SmashedBatch:
     client_aux: dict[int, object]
 
 
-class _Half:
-    """One half's layers, fixed tensor views of its parameter slice, and a
-    flat gradient buffer whose fixed views every backward overwrites."""
-
-    def __init__(self, layers: tuple[nn.Layer, ...], params: np.ndarray):
-        layout = nn.segment_layout(layers)
-        self.layers = layers
-        self.params = params
-        self.tensors = layout.views(params)
-        self.grad = np.empty(layout.size)
-        self.grads = layout.views(self.grad)
-
-
 class SplitModel:
     """One model held as one flat parameter vector, split at the cut.
-    client_params and server_params are fixed views of it; training updates
-    them in place."""
+    client_params and server_params are fixed views of its two slices, and
+    row holds fixed views of the whole vector as a one-row (1, d) stack, the
+    form protocol.local_epoch trains; training updates them in place."""
 
     def __init__(self, spec: nn.ModelSpec, cut: CutPoint, params: np.ndarray):
         if params.shape != (nn.param_count(spec),):
             raise nn.ShapeError(
                 f"params shape {params.shape} does not match model ({nn.param_count(spec)},)")
-        off = split_offset(spec, cut)
+        off, k = split_offset(spec, cut), cut.layer_index
         self.spec, self.cut, self.params = spec, cut, params
-        self._client = _Half(spec.layers[:cut.layer_index], params[:off])
-        self._server = _Half(spec.layers[cut.layer_index:], params[off:])
+        # each half as (layers, slice); a split step builds its views from it
+        self._client = (spec.layers[:k], params[:off])
+        self._server = (spec.layers[k:], params[off:])
+        self.row = nn.ParamViews(spec.layers, params[None])
 
     @property
     def client_params(self) -> np.ndarray:
-        return self._client.params
+        return self._client[1]
 
     @property
     def server_params(self) -> np.ndarray:
-        return self._server.params
+        return self._server[1]
 
 
 def split_offset(spec: nn.ModelSpec, cut: CutPoint) -> int:
@@ -97,7 +87,7 @@ def client_forward(model: SplitModel, batch: np.ndarray,
     """Client half forward; returns the smashed batch sent to the server."""
     batch = nn._check_batch(batch, model.spec.input_shape)
     labels = nn._check_labels(labels, model.spec.num_classes, batch.shape[:1])
-    half = model._client
+    half = nn.ParamViews(*model._client)
     acts, aux = nn.segment_forward(half.layers, half.tensors, batch)
     return SmashedBatch(acts[-1], labels, acts, aux)
 
@@ -108,7 +98,7 @@ def server_step(model: SplitModel, smashed: SmashedBatch, lr: float):
     Returns (cut_grad, loss). cut_grad is the loss gradient at the cut
     activations, evaluated at the pre-update server parameters.
     """
-    half = model._server
+    half = nn.ParamViews(*model._server)
     acts, aux = nn.segment_forward(half.layers, half.tensors, smashed.activations)
     loss, dlogits = nn.softmax_cross_entropy(acts[-1], smashed.labels)
     _, cut_grad = nn.segment_backward(half.layers, half.tensors, acts, aux, dlogits,
@@ -125,7 +115,7 @@ def client_backward(model: SplitModel, smashed: SmashedBatch,
         raise nn.ShapeError(
             f"cut gradient shape {cut_grad.shape} does not match "
             f"activations {smashed.activations.shape}")
-    half = model._client
+    half = nn.ParamViews(*model._client)
     nn.segment_backward(half.layers, half.tensors, smashed.client_acts,
                         smashed.client_aux, cut_grad, half.grads, input_grad=False)
     nn.sgd_update(half.params, half.grad, lr)

@@ -51,8 +51,7 @@ _ROUND_SPANS = ("protocol.client_batches", "aggregation.round", "attacks.craft",
                 "attacks.gamma_search", "protocol.evaluate")
 _MODE_SPANS = {
     "fl": ("protocol.local_epoch", "nn.grad"),
-    "splitfed": ("split.train_step", "split.client_forward", "split.server_step",
-                 "split.client_backward"),
+    "splitfed": ("protocol.local_epoch", "nn.grad"),
 }
 
 

@@ -15,6 +15,7 @@ from splitfedsim.nn import (
     Flatten,
     MaxPool2d,
     ModelSpec,
+    ParamViews,
     ReLU,
     ShapeError,
     finite_diff_grad,
@@ -451,9 +452,10 @@ def test_stacked_grad_is_each_clients_own_grad_byte_for_byte(build, g, bsz):
     y = rng.integers(0, spec.num_classes, size=(g, bsz))
     grads, losses = grad(spec, stack, x, y)
     assert grads.shape == stack.shape and len(losses) == g
-    buf = np.full(stack.shape, np.nan)
-    again, again_losses = grad(spec, stack, x, y, out=buf)
-    assert again is buf
+    held = ParamViews(spec.layers, stack)
+    held.grad[...] = np.nan
+    again, again_losses = grad(spec, held, x, y)
+    assert again is held.grad
     assert again.tobytes() == grads.tobytes() and again_losses == losses
     for i in range(g):
         want, want_loss = grad(spec, stack[i].copy(), x[i], y[i])
@@ -483,8 +485,9 @@ def test_stacked_grad_rejects_shapes_that_do_not_match():
             grad(spec, params, batch, labels)
         for shape in shapes:
             assert str(shape) in str(err.value)
-    with pytest.raises(ShapeError, match="gradient buffer"):
-        grad(spec, stack, x, y, out=np.empty((2, param_count(spec))))
+    with pytest.raises(ShapeError, match="other layers"):
+        client = spec.layers[:2]
+        grad(spec, ParamViews(client, stack[:, :segment_param_count(client)]), x, y)
 
 
 def _softmax_cross_entropy_reference(logits, labels):

@@ -71,7 +71,8 @@ def _train_digests(config, monkeypatch):
     return records_digest(records), hashlib.sha256(evaluated[-1].tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("model,mode,cut", sorted(PINS), ids="-".join)
+@pytest.mark.parametrize("model,mode,cut", sorted(PINS),
+                         ids=["-".join(key) for key in sorted(PINS)])
 def test_train_records_and_final_params_are_pinned(model, mode, cut, monkeypatch):
     config = ExperimentConfig(seed=42, mode=mode, model=model, cut=cut, blob_dims=16,
                               blob_per_class=50, defense="trmean", attack="agropt",
@@ -137,7 +138,8 @@ IDX_PINS = {
 IDX_IMAGE = {"mlp": (4, 16), "cnn": (8, 8)}
 
 
-@pytest.mark.parametrize("model,mode,cut", sorted(IDX_PINS), ids="-".join)
+@pytest.mark.parametrize("model,mode,cut", sorted(IDX_PINS),
+                         ids=["-".join(key) for key in sorted(IDX_PINS)])
 def test_idx_runs_are_pinned(model, mode, cut, idx_fields, monkeypatch):
     rows, cols = IDX_IMAGE[model]
     fields = idx_fields((200, rows, cols), (60, rows, cols),

@@ -12,7 +12,7 @@ from splitfedsim.aggregation import aggregate
 from splitfedsim.attacks import AttackSpec, BenignColumns, craft_round_update
 from splitfedsim.config import ExperimentConfig
 from splitfedsim.datasets import Dataset, partition_dirichlet, partition_iid
-from splitfedsim.models import mlp_spec
+from splitfedsim.models import cnn_spec, mlp_spec
 from splitfedsim.protocol import (
     RoundContext,
     _aggregate_round,
@@ -109,7 +109,7 @@ def test_local_epoch_no_batches_is_identity():
     ds = _toy_data()
     losses = local_epoch(spec, stack, ds, [[], []], lr=0.05)
     np.testing.assert_array_equal(stack, before)
-    assert losses == [0.0, 0.0]
+    assert losses == [[], []]
     assert local_epoch(spec, np.empty((0, params.size)), ds, [], lr=0.05) == []
 
 
@@ -126,7 +126,7 @@ def test_local_epoch_replays_sgd_exactly():
         manual = nn.sgd_step(manual, g, 0.05)
         losses.append(batch_loss)
     np.testing.assert_array_equal(out[0], manual)
-    assert loss == [float(np.mean(losses))]
+    assert loss == [losses]
 
 
 def test_local_epoch_rejects_a_stack_that_does_not_match_its_batches():
@@ -272,7 +272,8 @@ def test_fl_round_single_client_is_centralized_epoch():
     )
     batches = client_batches(part[0], 16, 0, 0, seed=7)
     manual = params[None].copy()
-    assert [info.loss] == local_epoch(spec, manual, ds, [batches], lr=0.05)
+    [losses] = local_epoch(spec, manual, ds, [batches], lr=0.05)
+    assert info.loss == float(np.mean(losses))
     np.testing.assert_array_equal(new_global, manual[0])
     assert info.rows.shape == (1, nn.param_count(spec))
 
@@ -577,6 +578,83 @@ def test_splitfed_round_does_not_alias_its_inputs_or_rows():
         if info.benign_rows is not None:
             assert not np.shares_memory(info.benign_rows, rows)
             assert not np.shares_memory(info.benign_rows, model.params)
+
+
+def _replay_splitfed_round(ctx, model, ds, part, batch_size, seed, attack, defense):
+    """run_splitfed_round's result, each client trained through the split
+    handoff, split.split_train_step, on a copy of model: (submitted rows,
+    round loss, the copy's parameters after the round)."""
+    twin = split.split_at(model.spec, model.params, model.cut)
+    start = twin.client_params.copy()
+    active = attack.kind != "none" and ctx.round_no >= attack.start_round and ctx.m_round
+    rows, losses = [], []
+    for cid, malicious in zip(ctx.selected.tolist(), ctx.mask):
+        twin.client_params[...] = start
+        for idx in client_batches(part[cid], batch_size, ctx.round_no, cid, seed):
+            losses.append(split.split_train_step(twin, ds.features[idx], ds.labels[idx],
+                                                 ctx.lr))
+        if not (active and malicious):
+            rows.append(twin.client_params.copy())
+    loss = float(np.mean(losses)) if losses else 0.0
+    if active and ctx.mask.all():
+        twin.client_params[...] = start
+        return np.empty((0, start.size)), loss, twin.params
+    rule = round_rule(defense, ctx.m_round)
+    matrix = np.empty((ctx.selected.size, start.size))
+    if active:
+        vec, _, _ = craft_round_update(attack, np.array(rows), ctx.m_round, rule)
+        matrix[ctx.mask] = vec
+        matrix[~ctx.mask] = rows
+    else:
+        matrix[:] = rows
+    twin.client_params[...] = aggregate(rule, matrix)
+    return matrix, loss, twin.params
+
+
+_SPLIT_ROUNDS = {
+    "honest": (np.arange(11), frozenset({3, 7}), AttackSpec(kind="none"), "fedavg"),
+    "attacked": (np.arange(11), frozenset({3, 7}),
+                 AttackSpec(kind="agropt", perturb="std", start_round=0), "trmean"),
+    "all-malicious": (np.array([3, 7]), frozenset({3, 7}),
+                      AttackSpec(kind="lie", z=1.0, start_round=0), "median"),
+}
+
+
+@pytest.mark.parametrize("build", [mlp_spec, cnn_spec], ids=["mlp", "cnn"])
+@pytest.mark.parametrize("case", sorted(_SPLIT_ROUNDS))
+def test_splitfed_round_is_the_split_handoff_byte_for_byte(build, case):
+    """The round trains each client's whole model through local_epoch; the
+    split steps it replaced are the oracle, at every cut."""
+    selected, malicious, attack, defense = _SPLIT_ROUNDS[case]
+    spec = build()
+    labels = _toy_data(n=96, classes=spec.num_classes, seed=12).labels
+    features = np.random.default_rng(21).normal(size=(96,) + spec.input_shape)
+    ds = Dataset(features, labels, spec.num_classes)
+    part = _uneven_shards(ds, 8)   # uneven batch counts, several batch sizes
+    params = nn.init_params(spec, 21)
+    for cut in spec.cut_presets.values():
+        model = split.split_at(spec, params, split.CutPoint(cut))
+        ctx = RoundContext(1, selected, malicious, lr=0.05)
+        rows, loss, want = _replay_splitfed_round(ctx, model, ds, part, 8, 4, attack,
+                                                  defense)
+        info = run_splitfed_round(ctx, model, ds, part, 8, 4, attack, defense)
+        assert info.rows.tobytes() == rows.tobytes()
+        assert np.float64(info.loss).tobytes() == np.float64(loss).tobytes()
+        assert model.params.tobytes() == want.tobytes()
+        assert (info.gamma is None) == (case != "attacked")
+
+
+def test_splitfed_train_runs_without_the_split_steps(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the round loop ran a split step")
+
+    for name in ("client_forward", "server_step", "client_backward", "split_train_step"):
+        monkeypatch.setattr(split, name, refuse)
+    config = _tiny_config(mode="splitfed", attack="agropt", attack_start_round=1,
+                          rounds=2)
+    records = train(config)
+    assert [r.round_no for r in records] == [0, 1]
+    assert records[1].gamma is not None
 
 
 # ---------------------------------------------------------------- train loop

@@ -34,6 +34,7 @@ PACKAGE = ROOT / "src" / "splitfedsim"
 UNUSED_ON_PURPOSE = {
     ("attacks", "agr_deviation"): "the gamma search's deviations",
     ("nn", "sgd_step"): "in-place SGD through nn.sgd_update",
+    ("split", "split_train_step"): "a SplitFed round's whole-model local_epoch steps",
 }
 
 # Members no code reads as an attribute.
