@@ -84,15 +84,18 @@ class Dense(Layer):
 
     def forward(self, tensors, x):
         w, b = tensors
-        return x @ w + b, None
+        y = x @ w
+        y += b   # the bits of x @ w + b, without a second array
+        return y, None
 
     def param_grads(self, tensors, x, aux, dout, grads):
         gw, gb = grads
         np.matmul(x.swapaxes(-1, -2), dout, out=gw)
-        dout.sum(axis=-2, keepdims=True, out=gb)
+        np.add.reduce(dout, axis=-2, keepdims=True, out=gb)   # what .sum runs
 
     def backward(self, tensors, x, aux, dout, grads):
-        self.param_grads(tensors, x, aux, dout, grads)
+        np.matmul(x.swapaxes(-1, -2), dout, out=grads[0])   # param_grads, inline
+        np.add.reduce(dout, axis=-2, keepdims=True, out=grads[1])
         return dout @ tensors[0].swapaxes(-1, -2)
 
 
@@ -221,7 +224,8 @@ class ReLU(Layer):
         return np.maximum(x, 0.0), None
 
     def backward(self, tensors, x, aux, dout, grads):
-        return dout * (x > 0)  # gradient at exactly 0 is 0
+        # gradient at exactly 0 is 0; a float mask spares a buffered cast
+        return dout * (x > 0).astype(float)
 
 
 @dataclass(frozen=True)
@@ -290,8 +294,9 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Layout:
-    """Where a layer run's tensors sit in its flat parameter vector:
-    slots[i] holds (start, stop, shape) for each tensor of layer i."""
+    """Where the tensors of a layer run sit in its flat parameter vector:
+    slots[i] holds (start, stop, shape) for each tensor of layers[i]."""
+    layers: tuple[Layer, ...]
     slots: tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]
     size: int
 
@@ -316,7 +321,7 @@ def segment_layout(layers: tuple[Layer, ...]) -> Layout:
             tensors.append((off, off + n, tuple(shape)))
             off += n
         slots.append(tuple(tensors))
-    return Layout(tuple(slots), off)
+    return Layout(layers, tuple(slots), off)
 
 
 class ParamViews:
@@ -324,14 +329,14 @@ class ParamViews:
     tensor views of it and a gradient buffer whose fixed views each backward
     overwrites: a buffer that steps many times builds its views once. The
     views of a one-row stack (one_row) are its model's, without the client
-    axis: the same bits, with less dispatch in every layer."""
+    axis: the same bits, with less dispatch in every layer. Built from a
+    Layout, such as ModelSpec.layout, they hash no layer tuple."""
 
-    def __init__(self, layers: tuple[Layer, ...], params: np.ndarray):
-        layout = segment_layout(layers)
+    def __init__(self, layout: Layout, params: np.ndarray):
         if params.ndim not in (1, 2) or params.shape[-1] != layout.size:
             raise ShapeError(f"parameters have shape {params.shape}, "
                              f"expected ({layout.size},) or (G, {layout.size})")
-        self.layers, self.params = layers, params
+        self.layout, self.params = layout, params
         self.grad = np.empty(params.shape)
         self.one_row = params.shape[:-1] == (1,)
         model, grad = (params[0], self.grad[0]) if self.one_row else (params, self.grad)
@@ -424,20 +429,21 @@ def forward(spec: ModelSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarra
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy and its gradient wrt logits (the 1/B is folded in).
     Logits (G, B, classes) and labels (G, B) of a stack give G mean losses,
-    as a list, each with the bits of its client's own call.
-
-    The reductions are called as ufunc reductions, the ones the array
-    methods dispatch to, and the mean is the sum over n, as .mean() takes
-    it: the same bits at less overhead per call."""
+    as a list, each with the bits of its client's own call. The reductions
+    are called as ufunc reductions, the ones the array methods dispatch to,
+    the mean is the sum over n, as .mean() takes it, and the label entries
+    are read and written through one flat index: the same bits at less
+    overhead per call, for logits of any layout."""
     n = logits.shape[-2]
-    logp = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    logp = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True),
+                       order="C")
     logp -= np.log(np.add.reduce(np.exp(logp), axis=-1, keepdims=True))
-    rows = np.arange(n)
-    picks = (rows, labels) if labels.ndim == 1 else \
-        (np.arange(len(labels))[:, None], rows, labels)
-    loss = -(np.add.reduce(logp[picks], axis=-1) / n)
+    # one flat intp index into the C-ordered logp picks every label entry
+    flat = logp.ravel()
+    picks = np.arange(0, flat.size, logp.shape[-1]) + labels.ravel().astype(np.intp, copy=False)
+    loss = -(np.add.reduce(flat[picks].reshape(logp.shape[:-1]), axis=-1) / n)
     dlogits = np.exp(logp, out=logp)
-    dlogits[picks] -= 1.0
+    flat[picks] -= 1.0
     dlogits /= n
     return loss.tolist(), dlogits
 
@@ -462,9 +468,11 @@ def _check_labels(labels: np.ndarray, num_classes: int,
     labels = np.asarray(labels)
     if labels.shape != shape:
         raise ShapeError(f"labels shape {labels.shape} does not match batch shape {shape}")
-    if not np.issubdtype(labels.dtype, np.integer):
+    if labels.dtype.kind not in "iu":   # np.integer's kinds, not bool
         raise ShapeError("labels must be integers")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+    # one reduction checks both ends: a negative label wraps past 2**63 in uint64
+    if labels.size and np.maximum.reduce(labels.astype(np.uint64, copy=False),
+                                         axis=None) >= num_classes:
         raise ShapeError(f"labels outside [0, {num_classes})")
     return labels
 
@@ -473,15 +481,15 @@ def grad(spec: ModelSpec, params: np.ndarray | ParamViews, batch: np.ndarray,
          labels: np.ndarray):
     """forward + backward on params. Returns (flat gradient, loss); each layer
     writes its slice of the gradient, and layer 0 stops at its parameter
-    gradients (nobody reads the input gradient).
-
-    params is one flat vector, or a stack (G, d) of G models with batch
-    (G, B, *input_shape) and labels (G, B): every model takes its own batch
-    in the one call, and the gradient (G, d) and the G losses carry the bits
-    of G separate calls. ParamViews lend their views and gradient buffer,
-    which the next call overwrites; for an array the call builds its own."""
-    held = params if isinstance(params, ParamViews) else ParamViews(spec.layers, params)
-    if held.layers != spec.layers:
+    gradients (nobody reads the input gradient). params is one flat vector,
+    or a stack (G, d) of G models with batch (G, B, *input_shape) and labels
+    (G, B), each model on its own batch, the gradient (G, d) and the G losses
+    with the bits of G separate calls. ParamViews lend their views and
+    gradient buffer, which the next call overwrites; an array gets its own,
+    from spec.layout. Each call checks the views' layout (identity first),
+    the batch, and the labels' shape, dtype kind and range in one reduction."""
+    held = params if isinstance(params, ParamViews) else ParamViews(spec.layout, params)
+    if held.layout is not spec.layout and held.layout != spec.layout:
         raise ShapeError("parameter views were built for other layers than the model's")
     lead = held.params.shape[:-1]
     if np.shape(batch)[:len(lead)] != lead:

@@ -123,15 +123,22 @@ def local_epoch(spec: nn.ModelSpec, stack: np.ndarray | nn.ParamViews, train: Da
     row i of the (G, d) stack, or of ParamViews over it, holds client i's
     parameters, updated in place, and batches[i] its mini-batches. At each
     batch index, the clients with a batch there step in one nn.grad call per
-    batch size: on the stack's views when that is every client, else on their
-    rows gathered and scattered back. train holds each sample in
-    spec.input_shape. Returns each client's batch losses, in order."""
-    held = stack if isinstance(stack, nn.ParamViews) else nn.ParamViews(spec.layers, stack)
+    batch size, on the stack's views when that is every client (one client:
+    no grouping), else on their rows gathered and scattered back. train holds
+    each sample in spec.input_shape. Returns each client's batch losses, in order."""
+    held = stack if isinstance(stack, nn.ParamViews) else nn.ParamViews(spec.layout, stack)
     stack = held.params
     if stack.ndim != 2 or len(stack) != len(batches):
         raise nn.ShapeError(f"stack shape {stack.shape} does not match "
                             f"{len(batches)} clients' batches")
     losses = [[] for _ in batches]
+    if held.one_row:   # one client steps its batches in turn: nothing to group
+        for idx in batches[0]:
+            idx = idx[None]
+            g, loss = nn.grad(spec, held, train.features.take(idx, axis=0), train.labels[idx])
+            nn.sgd_update(stack, g, lr)
+            losses[0] += loss
+        return losses
     for t in range(max(map(len, batches), default=0)):
         groups: dict[int, list[int]] = {}
         for i, client in enumerate(batches):

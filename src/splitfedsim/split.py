@@ -55,10 +55,10 @@ class SplitModel:
                 f"params shape {params.shape} does not match model ({nn.param_count(spec)},)")
         off, k = split_offset(spec, cut), cut.layer_index
         self.spec, self.cut, self.params = spec, cut, params
-        # each half as (layers, slice); a split step builds its views from it
-        self._client = (spec.layers[:k], params[:off])
-        self._server = (spec.layers[k:], params[off:])
-        self.row = nn.ParamViews(spec.layers, params[None])
+        # each half as (layout, slice); a split step builds its views from it
+        self._client = (nn.segment_layout(spec.layers[:k]), params[:off])
+        self._server = (nn.segment_layout(spec.layers[k:]), params[off:])
+        self.row = nn.ParamViews(spec.layout, params[None])
 
     @property
     def client_params(self) -> np.ndarray:
@@ -88,7 +88,7 @@ def client_forward(model: SplitModel, batch: np.ndarray,
     batch = nn._check_batch(batch, model.spec.input_shape)
     labels = nn._check_labels(labels, model.spec.num_classes, batch.shape[:1])
     half = nn.ParamViews(*model._client)
-    acts, aux = nn.segment_forward(half.layers, half.tensors, batch)
+    acts, aux = nn.segment_forward(half.layout.layers, half.tensors, batch)
     return SmashedBatch(acts[-1], labels, acts, aux)
 
 
@@ -99,9 +99,9 @@ def server_step(model: SplitModel, smashed: SmashedBatch, lr: float):
     activations, evaluated at the pre-update server parameters.
     """
     half = nn.ParamViews(*model._server)
-    acts, aux = nn.segment_forward(half.layers, half.tensors, smashed.activations)
+    acts, aux = nn.segment_forward(half.layout.layers, half.tensors, smashed.activations)
     loss, dlogits = nn.softmax_cross_entropy(acts[-1], smashed.labels)
-    _, cut_grad = nn.segment_backward(half.layers, half.tensors, acts, aux, dlogits,
+    _, cut_grad = nn.segment_backward(half.layout.layers, half.tensors, acts, aux, dlogits,
                                       half.grads)
     nn.sgd_update(half.params, half.grad, lr)
     return cut_grad, loss
@@ -116,7 +116,7 @@ def client_backward(model: SplitModel, smashed: SmashedBatch,
             f"cut gradient shape {cut_grad.shape} does not match "
             f"activations {smashed.activations.shape}")
     half = nn.ParamViews(*model._client)
-    nn.segment_backward(half.layers, half.tensors, smashed.client_acts,
+    nn.segment_backward(half.layout.layers, half.tensors, smashed.client_acts,
                         smashed.client_aux, cut_grad, half.grads, input_grad=False)
     nn.sgd_update(half.params, half.grad, lr)
 

@@ -275,17 +275,49 @@ def test_softmax_cross_entropy_gradient_rows_sum_to_zero():
     np.testing.assert_allclose(dlogits.sum(axis=1), np.zeros(5), atol=1e-12)
 
 
+def _label_paths(spec, p, x, labels):
+    """grad's three ways in, each given `labels`: a flat vector, a one-row
+    ParamViews, and a (2, d) stack whose row 1 holds `labels` and row 0
+    zeros of their dtype."""
+    other = np.zeros_like(labels)
+    return [(p, x, labels),
+            (ParamViews(spec.layout, p[None].copy()), x[None], labels[None]),
+            (np.stack([p, p]), np.stack([x, x]), np.stack([other, labels]))]
+
+
 def test_backward_rejects_label_problems():
     spec = _dense_spec(2, 2)
     p = init_params(spec, 0)
     x = np.zeros((2, 2))
-    for bad in (np.array([0]),          # batch-size mismatch
-                np.array([0.0, 1.0]),   # non-integer
-                np.array([0, 2])):      # out of range
-        with pytest.raises(ShapeError):
-            grad(spec, p, x, bad)
+    for bad in (np.array([0]),                      # batch-size mismatch
+                np.array([0.0, 1.0]),               # non-integer
+                np.array([True, False]),            # bool
+                np.array([0, 2]),                   # out of range
+                np.array([1, -1]),                  # negative
+                np.array([0, 2], dtype=np.uint8)):  # unsigned, at num_classes
+        for params, batch, labels in _label_paths(spec, p, x, bad):
+            with pytest.raises(ShapeError):
+                grad(spec, params, batch, labels)
         with pytest.raises(ShapeError):
             finite_diff_grad(spec, p, x, bad)
+
+
+@pytest.mark.parametrize("dtype", sorted(np.typecodes["AllInteger"] + "?efdgFDO"))
+def test_labels_are_accepted_exactly_when_their_dtype_is_an_integer(dtype):
+    """The dtype rule of the label check is NumPy's integer subtypes, bool
+    excluded, on every way into grad. (np.issubdtype also counts timedelta64
+    as an integer; such labels are rejected too.)"""
+    spec = _dense_spec(2, 2)
+    p = init_params(spec, 0)
+    x = np.zeros((2, 2))
+    for params, batch, labels in _label_paths(spec, p, x, np.array([1, 0], dtype=dtype)):
+        if np.issubdtype(np.dtype(dtype), np.integer):
+            grad(spec, params, batch, labels)
+        else:
+            with pytest.raises(ShapeError, match="integers"):
+                grad(spec, params, batch, labels)
+    with pytest.raises(ShapeError, match="integers"):
+        grad(spec, p, x, np.array([1, 0], dtype="m8"))
 
 
 # ---------------------------------------------------------------- grad oracle
@@ -452,7 +484,7 @@ def test_stacked_grad_is_each_clients_own_grad_byte_for_byte(build, g, bsz):
     y = rng.integers(0, spec.num_classes, size=(g, bsz))
     grads, losses = grad(spec, stack, x, y)
     assert grads.shape == stack.shape and len(losses) == g
-    held = ParamViews(spec.layers, stack)
+    held = ParamViews(spec.layout, stack)
     held.grad[...] = np.nan
     again, again_losses = grad(spec, held, x, y)
     assert again is held.grad
@@ -487,7 +519,8 @@ def test_stacked_grad_rejects_shapes_that_do_not_match():
             assert str(shape) in str(err.value)
     with pytest.raises(ShapeError, match="other layers"):
         client = spec.layers[:2]
-        grad(spec, ParamViews(client, stack[:, :segment_param_count(client)]), x, y)
+        grad(spec, ParamViews(segment_layout(client), stack[:, :segment_param_count(client)]),
+             x, y)
 
 
 def _softmax_cross_entropy_reference(logits, labels):
@@ -521,6 +554,22 @@ def test_softmax_cross_entropy_keeps_the_bits_of_its_formula(n):
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert dlogits.tobytes() == want.tobytes()
         assert logits.tobytes() == kept.tobytes()
+        # the labels are picked by a flat index into the C-ordered log-softmax,
+        # so a Fortran-ordered copy takes them from the right places
+        loss, dlogits = softmax_cross_entropy(np.asfortranarray(logits), labels)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert dlogits.tobytes() == want.tobytes()
+        # a (G, B, C) stack with (G, B) labels: each client the formula's bits
+        stack = np.stack([logits, -logits, logits[::-1]])
+        stack_labels = np.stack([labels, labels[::-1], (labels + 1) % logits.shape[1]])
+        kept = stack.copy()
+        losses, dlogits = softmax_cross_entropy(stack, stack_labels)
+        assert type(losses) is list and len(losses) == 3
+        for g in range(3):
+            want_loss, want = _softmax_cross_entropy_reference(stack[g], stack_labels[g])
+            assert np.float64(losses[g]).tobytes() == np.float64(want_loss).tobytes()
+            assert dlogits[g].tobytes() == want.tobytes()
+        assert stack.tobytes() == kept.tobytes()
 
 
 # ---------------------------------------------------------------- sgd

@@ -2,6 +2,7 @@
 fl and splitfed rounds (with and without an active attack), evaluation, and
 the end-to-end train loop's determinism."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -127,6 +128,49 @@ def test_local_epoch_replays_sgd_exactly():
         losses.append(batch_loss)
     np.testing.assert_array_equal(out[0], manual)
     assert loss == [losses]
+
+
+def test_local_epoch_steps_each_group_with_one_grad_and_one_update(monkeypatch):
+    """One nn.grad and one nn.sgd_update call per batch index and batch size,
+    each on that group's clients, made through the names on nn: the benchmark
+    counts the calls it sees there."""
+    spec = mlp_spec()
+    ds = _toy_data(n=96, seed=12)
+    params = nn.init_params(spec, 12)
+    calls = []
+    grad, sgd_update = nn.grad, nn.sgd_update
+
+    def counted_grad(spec, stack, batch, labels):
+        calls.append(("grad", batch.shape[:2]))
+        return grad(spec, stack, batch, labels)
+
+    def counted_update(rows, g, lr):
+        calls.append(("update", len(rows)))
+        sgd_update(rows, g, lr)
+
+    monkeypatch.setattr(nn, "grad", counted_grad)
+    monkeypatch.setattr(nn, "sgd_update", counted_update)
+    model = split.split_at(spec, params, split.CutPoint(spec.cut_presets["v2"]))
+    shards = _uneven_shards(ds, 8)
+    cases = [
+        # SplitFed: one client on the model's one-row views, a partial last batch
+        (model.row, [client_batches(np.arange(45), 8, 0, 0, seed=2)]),
+        # Dirichlet FL: 11 clients, partial groups of several sizes per index
+        (np.tile(params, (len(shards), 1)),
+         [client_batches(shard, 8, 1, cid, seed=4) for cid, shard in enumerate(shards)]),
+    ]
+    for stack, batches in cases:
+        calls.clear()
+        local_epoch(spec, stack, ds, batches, lr=0.05)
+        groups = collections.Counter((t, idx.size) for client in batches
+                                     for t, idx in enumerate(client))
+        grads, updates = calls[0::2], calls[1::2]
+        assert [name for name, _ in calls] == ["grad", "update"] * len(groups)
+        assert sorted(shape for _, shape in grads) == \
+            sorted((clients, size) for (_, size), clients in groups.items())
+        assert [rows for _, rows in updates] == [clients for _, (clients, _) in grads]
+    assert len(groups) > max(map(len, batches))            # several sizes at one index
+    assert any(1 < n < len(shards) for n in groups.values())  # partial groups
 
 
 def test_local_epoch_rejects_a_stack_that_does_not_match_its_batches():
