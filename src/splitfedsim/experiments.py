@@ -3,8 +3,10 @@ byte-stable CSV format, and a small self-contained SVG line chart.
 
 Every attacked cell is paired with a reference run whose config differs only
 in the attack field, so accuracy drops always compare like with like. The
-process pool is imported only when a sweep uses more than one process, so a
-single run never loads it.
+two compute the same bits until the attack starts, so train_many forks the
+attacked run from its reference there rather than train those rounds twice.
+The process pool is imported only when a sweep uses more than one process,
+so a single run never loads it.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config_text
-from .protocol import RoundRecord, train
+from .protocol import RoundRecord, Run, train
 
 CSV_HEADER = "mode,model,cut,defense,attack,frac_malicious,seed,acc,acc_attack,acc_drop,gamma_last"
 
@@ -104,19 +106,82 @@ def _cell_configs(base: ExperimentConfig, axes: dict[str, list]):
     return cells
 
 
+def _fork_round(task: tuple[ExperimentConfig, ...]) -> int:
+    """The round at which a task's attacked runs fork from its first run, their
+    reference: the first round any of them attacks, at most the last."""
+    return min([c.resolved_attack_start() for c in task[1:]] + [task[0].rounds])
+
+
+def _task_rounds(task: tuple[ExperimentConfig, ...]) -> int:
+    """The rounds a task trains: its reference's, and each fork's from the fork round on."""
+    return task[0].rounds + (len(task) - 1) * (task[0].rounds - _fork_round(task))
+
+
+def _makespan(tasks: list[tuple], n_jobs: int) -> int:
+    """The most rounds a worker trains when each task, longest first, goes to the least loaded."""
+    loads = [0] * min(n_jobs, len(tasks))
+    for rounds in sorted(map(_task_rounds, tasks), reverse=True):
+        loads[loads.index(min(loads))] += rounds
+    return max(loads, default=0)
+
+
+def _train_task(task: tuple[ExperimentConfig, ...]) -> list[list[RoundRecord]]:
+    """Train a task's runs, each in its own train() call: the attacked runs
+    are forked from the first, their reference, at _fork_round."""
+    if len(task) == 1:
+        return [train(task[0])]
+    run = Run(task[0])
+    run.fork_plan = (_fork_round(task), task[1:])
+    return [train(run)] + [train(fork) for fork in run.forks]
+
+
+def train_many(configs: list[ExperimentConfig], n_jobs: int = 1) -> list[list[RoundRecord]]:
+    """[train(c) for c in configs], each distinct config trained once, on up to
+    n_jobs processes. An attacked run whose attack = none reference is also
+    here and whose attack starts after round 0 can share a task with it: the
+    reference's train() forks it at the attack's first round, and it trains on
+    in its own train() call, its earlier records keeping the reference's
+    wall_ms. Groups are merged, largest saving first, as far as that shortens
+    the longest-first schedule of the tasks' rounds on n_jobs workers (on one,
+    all are). Tasks are handed out longest first."""
+    unique = {dataclasses.astuple(c): c for c in configs}
+    groups: dict[tuple, tuple] = {}   # reference key -> its task
+    for cfg in unique.values():
+        ref = dataclasses.astuple(dataclasses.replace(cfg, attack="none"))
+        if cfg.attack != "none" and ref in unique and _fork_round((unique[ref], cfg)):
+            groups[ref] = groups.get(ref, (unique[ref],)) + (cfg,)
+    merge = sorted(groups.values(), key=lambda t: -(len(t) - 1) * _fork_round(t))
+
+    def tasks(merged: int) -> list[tuple]:
+        inside = {dataclasses.astuple(c) for t in merge[:merged] for c in t}
+        return merge[:merged] + [(c,) for k, c in unique.items() if k not in inside]
+
+    best = min(range(len(merge) + 1), key=lambda m: (_makespan(tasks(m), n_jobs), -m))
+    todo = sorted(tasks(best), key=_task_rounds, reverse=True)
+    if n_jobs > 1 and len(todo) > 1:
+        # imported here: a single run skips loading multiprocessing (~25 ms)
+        from concurrent.futures import ProcessPoolExecutor
+        # the fork start method launches every worker up front
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(todo))) as pool:
+            done = list(pool.map(_train_task, todo))
+    else:
+        done = map(_train_task, todo)
+    history = {dataclasses.astuple(c): h for task, hs in zip(todo, done)
+               for c, h in zip(task, hs)}
+    return [history[dataclasses.astuple(c)] for c in configs]
+
+
 def run_sweep(base: ExperimentConfig, axes: dict[str, list],
               n_jobs: int = 1) -> SweepResult:
     """Run every cell of the grid with its paired no-attack reference.
 
-    Identical configs are run once and shared (an attack=none cell is its own
-    reference). n_jobs > 1 distributes the unique runs over processes, and
-    only then is the process pool imported; results are merged in a fixed
-    order either way.
+    The cells and references are trained by train_many on n_jobs processes:
+    identical configs once (an attack=none cell is its own reference), and
+    each attacked run forked from its reference where their rounds agree.
     """
     cells = _cell_configs(base, axes)
     skipped: list[tuple[str, str]] = []
     pairs = []  # (cell config, reference config)
-    unique: dict[tuple, ExperimentConfig] = {}
     for cfg in cells:
         desc = (f"mode={cfg.mode} cut={cfg.cut} defense={cfg.defense} "
                 f"attack={cfg.attack} frac={cfg.malicious_fraction} seed={cfg.seed}")
@@ -125,25 +190,10 @@ def run_sweep(base: ExperimentConfig, axes: dict[str, list],
         except ConfigError as e:
             skipped.append((desc, str(e)))
             continue
-        ref = dataclasses.replace(cfg, attack="none")
-        pairs.append((cfg, ref))
-        unique.setdefault(dataclasses.astuple(cfg), cfg)
-        unique.setdefault(dataclasses.astuple(ref), ref)
-    keys = sorted(unique)
-    configs = [unique[k] for k in keys]
-    if n_jobs > 1 and len(configs) > 1:
-        # imported here: a single run skips loading multiprocessing (~25 ms)
-        from concurrent.futures import ProcessPoolExecutor
-        # the fork start method launches every worker up front
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(configs))) as pool:
-            histories = list(pool.map(train, configs))
-    else:
-        histories = [train(c) for c in configs]
-    by_key = dict(zip(keys, histories))
+        pairs.append((cfg, dataclasses.replace(cfg, attack="none")))
+    histories = train_many([c for pair in pairs for c in pair], n_jobs)
     rows = []
-    for cfg, ref in pairs:
-        hist = by_key[dataclasses.astuple(cfg)]
-        ref_hist = by_key[dataclasses.astuple(ref)]
+    for (cfg, _), hist, ref_hist in zip(pairs, histories[::2], histories[1::2]):
         acc = final_accuracy(ref_hist)
         acc_attack = final_accuracy(hist)
         if acc is None or acc_attack is None:

@@ -433,7 +433,10 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     are called as ufunc reductions, the ones the array methods dispatch to,
     the mean is the sum over n, as .mean() takes it, and the label entries
     are read and written through one flat index: the same bits at less
-    overhead per call, for logits of any layout."""
+    overhead per call, for logits of any layout. Labels of any other shape
+    than the logits' leading one are a ShapeError."""
+    if labels.shape != logits.shape[:-1]:
+        raise ShapeError(f"labels shape {labels.shape} does not match logits {logits.shape}")
     n = logits.shape[-2]
     logp = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True),
                        order="C")

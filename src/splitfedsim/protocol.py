@@ -23,12 +23,14 @@ Every random choice comes from a fresh generator seeded from the experiment
 seed, so a config determines the full history bit for bit. The keys are not
 all distinct: the datasets, the partition and the initial parameters each
 open default_rng(seed), and sample_clients opens [seed, round_no], which at
-round 1 is pick_malicious's key.
+round 1 is pick_malicious's key. So until its attack starts, a run computes
+the bits of its attack = none twin: Run.fork copies a run in progress there.
 """
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -302,45 +304,95 @@ def build_attack(config: "ExperimentConfig") -> AttackSpec:
                       start_round=config.resolved_attack_start())
 
 
-def train(config: "ExperimentConfig") -> list[RoundRecord]:
-    """Run a full experiment; one RoundRecord per evaluated round.
+# what build_attack reads: runs that differ only here agree until an attack starts
+_ATTACK_FIELDS = {"attack", "lie_z", "agropt_perturb", "agropt_gamma_init",
+                  "agropt_tau", "attack_start_round"}
 
-    Raises FloatingPointError naming the round after which the parameters
-    are no longer finite, so that a diverged run never reports accuracy."""
-    config.validate()
-    train_ds, test_ds = build_datasets(config)
-    spec = build_model(config.model, train_ds.features[0].size, train_ds.num_classes)
-    for ds in (train_ds, test_ds):   # a view: each sample as the model reads it
-        ds.features = ds.features.reshape((-1,) + spec.input_shape)
-    part = build_partition(config, train_ds)
-    malicious = pick_malicious(config.n_clients, config.malicious_fraction,
-                               config.seed)
-    attack = build_attack(config)
-    params = nn.init_params(spec, config.seed)
-    splitfed = config.mode == "splitfed"
-    if splitfed:
-        cut = split.CutPoint(spec.cut_presets[config.cut])
-        model = split.split_at(spec, params, cut)
-        params = model.params   # the rounds update it in place
-    records = []
-    for r in range(config.rounds):
+
+class Run:
+    """One experiment in progress: the constructor does what train() does
+    before round 0, step() trains one round into records. Given a fork_plan
+    (round, configs), train() forks the run there for each config, into forks."""
+
+    def __init__(self, config: "ExperimentConfig"):
+        self.config = config.validate()
+        self.train_ds, self.test_ds = build_datasets(config)
+        self.spec = build_model(config.model, self.train_ds.features[0].size,
+                                self.train_ds.num_classes)
+        for ds in (self.train_ds, self.test_ds):   # a view: each sample as the model reads it
+            ds.features = ds.features.reshape((-1,) + self.spec.input_shape)
+        self.part = build_partition(config, self.train_ds)
+        self.malicious = pick_malicious(config.n_clients, config.malicious_fraction,
+                                        config.seed)
+        self.attack = build_attack(config)
+        self.params = nn.init_params(self.spec, config.seed)
+        self.model = None
+        if config.mode == "splitfed":
+            cut = split.CutPoint(self.spec.cut_presets[config.cut])
+            self.model = split.split_at(self.spec, self.params, cut)
+            self.params = self.model.params   # the rounds update it in place
+        self.rounds_done, self.records = 0, []
+        self.fork_plan, self.forks = None, []
+
+    def step(self) -> None:
+        """Train round rounds_done, and record it if it is evaluated."""
+        config, r = self.config, self.rounds_done
         t0 = time.perf_counter()
         selected = sample_clients(config.n_clients, config.clients_per_round,
                                   r, config.seed)
-        ctx = RoundContext(r, selected, malicious, config.lr)
-        if splitfed:
-            info = run_splitfed_round(ctx, model, train_ds, part, config.batch_size,
-                                      config.seed, attack, config.defense)
+        ctx = RoundContext(r, selected, self.malicious, config.lr)
+        if self.model is not None:
+            info = run_splitfed_round(ctx, self.model, self.train_ds, self.part,
+                                      config.batch_size, config.seed, self.attack,
+                                      config.defense)
         else:
-            params, info = run_fl_round(
-                ctx, spec, params, train_ds, part,
-                config.batch_size, config.seed, attack, config.defense)
-        if not np.isfinite(params).all():
+            self.params, info = run_fl_round(
+                ctx, self.spec, self.params, self.train_ds, self.part,
+                config.batch_size, config.seed, self.attack, config.defense)
+        if not np.isfinite(self.params).all():
             raise FloatingPointError(
                 f"round {r}: the parameters are not finite; the run diverged")
         if (r + 1) % config.eval_every == 0 or r == config.rounds - 1:
-            acc = evaluate(spec, params, test_ds)
-            records.append(RoundRecord(r, acc, info.loss, info.gamma,
-                                       info.deviation,
-                                       (time.perf_counter() - t0) * 1000.0))
-    return records
+            acc = evaluate(self.spec, self.params, self.test_ds)
+            self.records.append(RoundRecord(r, acc, info.loss, info.gamma,
+                                            info.deviation,
+                                            (time.perf_counter() - t0) * 1000.0))
+        self.rounds_done = r + 1
+
+    def fork(self, config: "ExperimentConfig") -> "Run":
+        """This run at its current round as config's run would stand there, for
+        a config that differs only in an attack that has not started. It has
+        its own parameters and records (wall_ms kept) and shares the rest;
+        every random draw is keyed by (seed, round, client)."""
+        differ = [f.name for f in fields(config) if f.name not in _ATTACK_FIELDS
+                  and getattr(config, f.name) != getattr(self.config, f.name)]
+        if differ:
+            raise ValueError(f"cannot fork: {', '.join(differ)} differ, not only the attack")
+        for c in (self.config, config):
+            if c.attack != "none" and self.rounds_done > c.resolved_attack_start():
+                raise ValueError(f"cannot fork at round {self.rounds_done}: attack = "
+                                 f"{c.attack} starts at round {c.resolved_attack_start()}")
+        run = copy.copy(self)
+        run.config, run.attack = config.validate(), build_attack(config)
+        run.records = [replace(rec) for rec in self.records]
+        run.fork_plan, run.forks = None, []
+        run.params = self.params.copy()
+        if self.model is not None:   # a model over the copy, with its own views
+            run.model = split.SplitModel(self.spec, self.model.cut, run.params)
+        return run
+
+
+def train(job: "ExperimentConfig | Run") -> list[RoundRecord]:
+    """Run a full experiment, from its config or from a Run, which is stepped
+    to its end and forked as its fork_plan asks; one RoundRecord per evaluated
+    round.
+
+    Raises FloatingPointError naming the round after which the parameters
+    are no longer finite, so that a diverged run never reports accuracy."""
+    run = job if isinstance(job, Run) else Run(job)
+    while True:
+        if run.fork_plan and run.fork_plan[0] == run.rounds_done:
+            run.forks = [run.fork(c) for c in run.fork_plan[1]]
+        if run.rounds_done == run.config.rounds:
+            return run.records
+        run.step()

@@ -4,7 +4,7 @@ Four jobs live here:
 
 * a session-scoped cache of full training runs, so the end-to-end checks in
   test_acceptance.py can share the expensive desk-scale experiments instead of
-  re-running identical configurations, and train them two at a time,
+  re-running identical configurations, and train them as a sweep does,
 * hand-written IDX files for the config and CLI checks of `dataset = idx`,
 * the dense gamma-grid oracle of the gamma search's optimality checks, and
 * a terminal-summary hook that prints one PASS/FAIL line per numbered
@@ -17,7 +17,6 @@ import dataclasses
 import re
 import struct
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ import pytest
 from splitfedsim.aggregation import reduce_window, rule_window
 from splitfedsim.attacks import BenignColumns
 from splitfedsim.config import ExperimentConfig
-from splitfedsim.experiments import accuracy_drop, final_accuracy
+from splitfedsim.experiments import accuracy_drop, final_accuracy, train_many
 from splitfedsim.protocol import train
 
 _CRITERION_RE = re.compile(r"test_c(\d{2})_")
@@ -52,7 +51,8 @@ class RunCache:
 
     def prefetch(self, configs: list[ExperimentConfig]) -> None:
         """Train the configs and their attack = none references that are not
-        cached yet, two at a time in worker processes."""
+        cached yet, as a sweep does: on two worker processes, each attacked
+        run forked from its reference where their rounds agree."""
         todo: dict[tuple, ExperimentConfig] = {}
         for config in configs:
             for c in (config, dataclasses.replace(config, attack="none")):
@@ -60,8 +60,7 @@ class RunCache:
                 if key not in self._runs:
                     todo.setdefault(key, c.validate())
         if todo:
-            with ProcessPoolExecutor(max_workers=2) as pool:
-                self._runs.update(zip(todo, pool.map(train, todo.values())))
+            self._runs.update(zip(todo, train_many(list(todo.values()), n_jobs=2)))
 
     def records(self, config: ExperimentConfig):
         key = dataclasses.astuple(config)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from splitfedsim import experiments, nn
 from splitfedsim.config import ConfigError, ExperimentConfig
 from splitfedsim.experiments import (
     CSV_HEADER,
@@ -148,6 +149,119 @@ def test_run_sweep_pool_has_at_most_one_worker_per_run(monkeypatch):
     result = run_sweep(cfg, {}, n_jobs=5000)   # one cell and its reference
     assert seen == [2]
     assert result == run_sweep(cfg, {})
+
+
+class _RecordingPool:
+    """A serial stand-in for ProcessPoolExecutor, like the one above, that
+    also records the tasks it is given."""
+    caps: list = []
+    tasks: list = []
+
+    def __init__(self, max_workers):
+        self.caps.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        self.tasks.append(items)
+        return map(fn, items)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "caps", [])
+    monkeypatch.setattr(_RecordingPool, "tasks", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool
+
+
+def _dirichlet_config(**overrides):
+    """Attack from round 2 of 8 (rounds // 4)."""
+    return _tiny_config(**{"partition": "dirichlet", "dirichlet_alpha": 0.5, "rounds": 8,
+                           "attack": "agropt", "defense": "trmean", **overrides})
+
+
+def test_an_attacked_run_trains_its_shared_prefix_once(monkeypatch):
+    """A one-cell sweep calls nn.grad for every step of the reference and
+    for the attacked run's steps from its fork round on, and no more."""
+    calls = []
+    grad = nn.grad
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return grad(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "grad", counted)
+
+    def steps(config):
+        calls.clear()
+        records = train(config)
+        return len(calls), records
+
+    cfg = _dirichlet_config(mode="splitfed")
+    ref = dataclasses.replace(cfg, attack="none")
+    ref_steps, ref_records = steps(ref)
+    attacked_steps, attacked_records = steps(cfg)
+    prefix_steps, _ = steps(dataclasses.replace(ref, rounds=cfg.resolved_attack_start()))
+    calls.clear()
+    result = run_sweep(cfg, {})
+    assert len(calls) == ref_steps + attacked_steps - prefix_steps
+    assert 0 < prefix_steps < attacked_steps
+    row, = result.rows
+    assert row.acc == final_accuracy(ref_records)
+    assert row.acc_attack == final_accuracy(attacked_records)
+
+
+def _rounds(task):
+    """Rounds a task trains: 8 for a run of its own, 8 + 6 for a reference
+    with one attacked run forked at round 2."""
+    return 8 + 6 * (len(task) - 1)
+
+
+def test_four_groups_on_two_jobs_are_four_merged_tasks(serial_pool):
+    cfg = _dirichlet_config()
+    axes = {"cut": ["v1", "v3"], "seed": [2, 3]}
+    result = run_sweep(cfg, axes, n_jobs=2)
+    tasks, = serial_pool.tasks
+    assert serial_pool.caps == [2]
+    assert [len(t) for t in tasks] == [2, 2, 2, 2]   # 28 rounds a worker, not 32
+    assert all(ref.attack == "none" and run.attack == "agropt" for ref, run in tasks)
+    assert result == run_sweep(cfg, axes)
+
+
+def test_three_groups_on_two_jobs_merge_no_more_than_shortens_the_schedule(serial_pool):
+    """Merged, each group is 14 rounds: all three would keep one worker
+    busy for 28. Two merged and two lone runs, 14 + 8 a worker, beat both
+    that and the unmerged 24."""
+    cfg = _dirichlet_config()
+    axes = {"cut": ["v1", "v2", "v3"]}
+    result = run_sweep(cfg, axes, n_jobs=2)
+    tasks, = serial_pool.tasks
+    assert [_rounds(t) for t in tasks] == [14, 14, 8, 8]   # longest first
+    unmerged = [(c,) for t in tasks for c in t]
+    assert experiments._makespan(tasks, 2) < experiments._makespan(unmerged, 2)
+    assert result == run_sweep(cfg, axes)
+
+
+def test_one_job_merges_every_group_and_iid_cells_none(monkeypatch):
+    tasks = []
+    train_task = experiments._train_task
+
+    def recorded(task):
+        tasks.append(task)
+        return train_task(task)
+
+    monkeypatch.setattr(experiments, "_train_task", recorded)
+    run_sweep(_dirichlet_config(), {"cut": ["v1", "v2", "v3"]}, n_jobs=1)
+    assert [len(t) for t in tasks] == [2, 2, 2]
+    tasks.clear()
+    run_sweep(_dirichlet_config(partition="iid"), {"cut": ["v1", "v2", "v3"]}, n_jobs=1)
+    assert [len(t) for t in tasks] == [1] * 6   # the attack starts at round 0
 
 
 def test_run_sweep_unknown_axis():

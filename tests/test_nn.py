@@ -300,6 +300,12 @@ def test_backward_rejects_label_problems():
                 grad(spec, params, batch, labels)
         with pytest.raises(ShapeError):
             finite_diff_grad(spec, p, x, bad)
+    # the loss itself: one label does not broadcast over a batch, and a stack
+    # takes (G, B) labels, not the same entries flat
+    for logits, bad in ((np.zeros((32, 4)), np.zeros(1, int)),
+                        (np.zeros((2, 3, 4)), np.zeros(6, int))):
+        with pytest.raises(ShapeError, match="labels shape"):
+            softmax_cross_entropy(logits, bad)
 
 
 @pytest.mark.parametrize("dtype", sorted(np.typecodes["AllInteger"] + "?efdgFDO"))

@@ -764,3 +764,68 @@ def test_build_attack_mirrors_config():
     assert spec.perturb == "std"
     assert spec.start_round == 4
     assert build_attack(_tiny_config()).kind == "none"
+
+
+# ---------------------------------------------------------------- forks
+
+
+def _bits(records):
+    """Every field but wall_ms, floats by float.hex."""
+    def h(v):
+        return None if v is None else v.hex()
+    return [(r.round_no, h(r.test_accuracy), h(r.loss), h(r.gamma), h(r.deviation))
+            for r in records]
+
+
+def _fork_config(**overrides):
+    return _tiny_config(**{"rounds": 8, "partition": "dirichlet", "dirichlet_alpha": 0.5,
+                           "defense": "trmean", **overrides})
+
+
+@pytest.mark.parametrize("start", [-1, 0, 3, 8, 12])   # auto: 8 // 4 = 2
+@pytest.mark.parametrize("attack", ["lie", "agropt"])
+@pytest.mark.parametrize("mode", ["fl", "splitfed"])
+def test_a_forked_run_trains_the_bits_of_a_fresh_one(mode, attack, start):
+    """A reference run forked at the attack's first round (at most the last
+    round) and trained on gives the fresh run's records and final
+    parameters, and the reference's own run is not disturbed."""
+    config = _fork_config(mode=mode, attack=attack, attack_start_round=start)
+    at = min(config.resolved_attack_start(), config.rounds)
+    reference = protocol.Run(dataclasses.replace(config, attack="none"))
+    reference.fork_plan = (at, [config])
+    ref_records = train(reference)
+    fork, = reference.forks
+    records = train(fork)
+    fresh = protocol.Run(config)
+    assert _bits(records) == _bits(train(fresh))
+    assert fork.params.tobytes() == fresh.params.tobytes()
+    # the rounds before the fork are the reference's, its timings included
+    assert [r.wall_ms for r in records[:at]] == [r.wall_ms for r in ref_records[:at]]
+    assert not any(mine is theirs for mine, theirs in zip(records, ref_records))
+    alone = protocol.Run(reference.config)
+    assert _bits(ref_records) == _bits(train(alone))
+    assert reference.params.tobytes() == alone.params.tobytes()
+
+
+@pytest.mark.parametrize("change", [{"seed": 2}, {"cut": "v3"}, {"rounds": 7},
+                                    {"malicious_fraction": 0.5}])
+def test_fork_refuses_a_config_that_differs_outside_the_attack(change):
+    run = protocol.Run(_fork_config(mode="splitfed"))
+    other = dataclasses.replace(run.config, attack="lie", **change)
+    with pytest.raises(ValueError, match=f"cannot fork: {next(iter(change))} differ"):
+        run.fork(other)
+
+
+def test_fork_refuses_a_round_past_either_attack_start():
+    config = _fork_config(rounds=4)
+    run = protocol.Run(config)
+    run.step()
+    run.step()
+    assert run.fork(dataclasses.replace(config, attack="lie", attack_start_round=2)).rounds_done == 2
+    with pytest.raises(ValueError, match="attack = lie starts at round 1"):
+        run.fork(dataclasses.replace(config, attack="lie", attack_start_round=1))
+    attacked = protocol.Run(dataclasses.replace(config, attack="agropt", attack_start_round=1))
+    attacked.step()
+    attacked.step()   # round 1 was attacked
+    with pytest.raises(ValueError, match="attack = agropt starts at round 1"):
+        attacked.fork(config)
