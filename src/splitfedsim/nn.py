@@ -46,11 +46,11 @@ class Layer:
     param_shapes(): shapes of its tensors in the flat vector (default: none),
         plus fans() -> (fan_in, fan_out) for kinds with a weight;
     forward(tensors, x) -> (y, aux), aux being what backward needs;
-    backward(tensors, x, aux, dout, grads) -> gradient wrt x, after writing
-        each parameter gradient into the matching array of grads;
-    param_grads(tensors, x, aux, dout, grads): only the writes of backward
-        (default: nothing to write), for a first layer whose input gradient
-        nobody reads.
+    backward(tensors, x, aux, dout, grads, input_grad) -> gradient wrt x,
+        after writing each parameter gradient into the matching array of
+        grads; a kind with parameters returns None when input_grad is False
+        (a first layer whose input gradient nobody reads), and the others
+        ignore it.
 
     x may carry a leading client axis before the batch axis; the tensors and
     grads then carry it too (Layout.views of a stack).
@@ -58,9 +58,6 @@ class Layer:
 
     def param_shapes(self) -> list[tuple[int, ...]]:
         return []
-
-    def param_grads(self, tensors, x, aux, dout, grads) -> None:
-        pass
 
 
 @dataclass(frozen=True)
@@ -88,15 +85,10 @@ class Dense(Layer):
         y += b   # the bits of x @ w + b, without a second array
         return y, None
 
-    def param_grads(self, tensors, x, aux, dout, grads):
-        gw, gb = grads
-        np.matmul(x.swapaxes(-1, -2), dout, out=gw)
-        np.add.reduce(dout, axis=-2, keepdims=True, out=gb)   # what .sum runs
-
-    def backward(self, tensors, x, aux, dout, grads):
-        np.matmul(x.swapaxes(-1, -2), dout, out=grads[0])   # param_grads, inline
-        np.add.reduce(dout, axis=-2, keepdims=True, out=grads[1])
-        return dout @ tensors[0].swapaxes(-1, -2)
+    def backward(self, tensors, x, aux, dout, grads, input_grad):
+        np.matmul(x.swapaxes(-1, -2), dout, out=grads[0])
+        np.add.reduce(dout, axis=-2, keepdims=True, out=grads[1])   # what .sum runs
+        return dout @ tensors[0].swapaxes(-1, -2) if input_grad else None
 
 
 @dataclass(frozen=True)
@@ -156,15 +148,14 @@ class Conv2d(Layer):
         """The (O, C*k*k) view of a weight tensor."""
         return w.reshape(w.shape[:-3] + (-1,))
 
-    def param_grads(self, tensors, x, aux, dout, grads):
+    def backward(self, tensors, x, aux, dout, grads, input_grad):
         gw, gb = grads
         # dout (O, B*Ho*Wo) x patches (B*Ho*Wo, C*k*k) -> (O,C,k,k)
         dmat = dout.swapaxes(-4, -3).reshape(dout.shape[:-4] + (self.out_channels, -1))
         gw[...] = np.matmul(dmat, aux).reshape(gw.shape)
         gb[...] = dout.sum(axis=(-4, -2, -1))
-
-    def backward(self, tensors, x, aux, dout, grads):
-        self.param_grads(tensors, x, aux, dout, grads)
+        if not input_grad:
+            return None
         k, s, p = self.kernel, self.stride, self.padding
         *lead, bsz, c, hin, win = x.shape
         ho, wo = dout.shape[-2:]
@@ -207,7 +198,7 @@ class MaxPool2d(Layer):
         idx = xr.argmax(axis=-1)  # ties break to the first (row-major) element
         return np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0], idx
 
-    def backward(self, tensors, x, aux, dout, grads):
+    def backward(self, tensors, x, aux, dout, grads, input_grad):
         n = self.window
         dxr = np.zeros(aux.shape + (n * n,))
         np.put_along_axis(dxr, aux[..., None], dout[..., None], axis=-1)
@@ -223,7 +214,7 @@ class ReLU(Layer):
     def forward(self, tensors, x):
         return np.maximum(x, 0.0), None
 
-    def backward(self, tensors, x, aux, dout, grads):
+    def backward(self, tensors, x, aux, dout, grads, input_grad):
         # gradient at exactly 0 is 0; a float mask spares a buffered cast
         return dout * (x > 0).astype(float)
 
@@ -240,7 +231,7 @@ class Flatten(Layer):
     def forward(self, tensors, x):
         return x.reshape(x.shape[:-3] + (-1,)), None
 
-    def backward(self, tensors, x, aux, dout, grads):
+    def backward(self, tensors, x, aux, dout, grads, input_grad):
         return dout.reshape(x.shape)
 
 
@@ -410,12 +401,10 @@ def segment_backward(layers: tuple[Layer, ...], tensors: list[list[np.ndarray]],
     if grads is None:
         layout = segment_layout(tuple(layers))
         grads = layout.views(np.empty(layout.size))
-    for i in reversed(range(0 if input_grad else 1, len(layers))):
-        dout = layers[i].backward(tensors[i], acts[i], aux.get(i), dout, grads[i])
-    if not input_grad:
-        layers[0].param_grads(tensors[0], acts[0], aux.get(0), dout, grads[0])
-        dout = None
-    return grads, dout
+    for i in reversed(range(len(layers))):
+        dout = layers[i].backward(tensors[i], acts[i], aux.get(i), dout, grads[i],
+                                  input_grad or i > 0)
+    return grads, dout if input_grad else None
 
 
 def forward(spec: ModelSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray:

@@ -296,17 +296,16 @@ def build_partition(config: "ExperimentConfig", train: Dataset) -> list[np.ndarr
                                config.seed)
 
 
+# config field -> AttackSpec field: what build_attack reads besides the start
+# round. Runs that differ only in _FORK_EXEMPT agree until the attack starts
+_ATTACK_CONFIG = {"attack": "kind", "lie_z": "z", "agropt_perturb": "perturb",
+                  "agropt_gamma_init": "gamma_init", "agropt_tau": "tau"}
+_FORK_EXEMPT = {*_ATTACK_CONFIG, "attack_start_round"}
+
+
 def build_attack(config: "ExperimentConfig") -> AttackSpec:
-    return AttackSpec(kind=config.attack, z=config.lie_z,
-                      perturb=config.agropt_perturb,
-                      gamma_init=config.agropt_gamma_init,
-                      tau=config.agropt_tau,
+    return AttackSpec(**{f: getattr(config, c) for c, f in _ATTACK_CONFIG.items()},
                       start_round=config.resolved_attack_start())
-
-
-# what build_attack reads: runs that differ only here agree until an attack starts
-_ATTACK_FIELDS = {"attack", "lie_z", "agropt_perturb", "agropt_gamma_init",
-                  "agropt_tau", "attack_start_round"}
 
 
 class Run:
@@ -364,7 +363,7 @@ class Run:
         a config that differs only in an attack that has not started. It has
         its own parameters and records (wall_ms kept) and shares the rest;
         every random draw is keyed by (seed, round, client)."""
-        differ = [f.name for f in fields(config) if f.name not in _ATTACK_FIELDS
+        differ = [f.name for f in fields(config) if f.name not in _FORK_EXEMPT
                   and getattr(config, f.name) != getattr(self.config, f.name)]
         if differ:
             raise ValueError(f"cannot fork: {', '.join(differ)} differ, not only the attack")

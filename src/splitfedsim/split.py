@@ -10,9 +10,10 @@ So a SplitFed round trains each client's whole model through
 protocol.local_epoch and nn.grad, and these steps are the oracle that shows
 that the handoff computes the same bits. A SplitModel holds the model as one
 flat buffer with a fixed view of each half, which a caller starts from other
-parameters by copying into it. Each step builds its half's views, and
-nn.sgd_update updates the half in place. The client's backward stops at
-layer 0's parameter gradients: the input gradient has no reader.
+parameters by copying into it. Each half is an nn.ParamViews, built once, whose
+views and gradient buffer every step reuses; nn.sgd_update updates the half in
+place. The client's backward stops at layer 0's parameter gradients: the input
+gradient has no reader.
 
 Each input is checked once, where it enters the step: the batch and labels
 in client_forward, the cut gradient in client_backward, the learning rate in
@@ -45,9 +46,10 @@ class SmashedBatch:
 
 class SplitModel:
     """One model held as one flat parameter vector, split at the cut.
-    client_params and server_params are fixed views of its two slices, and
-    row holds fixed views of the whole vector as a one-row (1, d) stack, the
-    form protocol.local_epoch trains; training updates them in place."""
+    client_params and server_params are its two slices, each the buffer of a
+    half's nn.ParamViews, and row holds fixed views of the whole vector as a
+    one-row (1, d) stack, the form protocol.local_epoch trains; training
+    updates them in place."""
 
     def __init__(self, spec: nn.ModelSpec, cut: CutPoint, params: np.ndarray):
         if params.shape != (nn.param_count(spec),):
@@ -55,18 +57,17 @@ class SplitModel:
                 f"params shape {params.shape} does not match model ({nn.param_count(spec)},)")
         off, k = split_offset(spec, cut), cut.layer_index
         self.spec, self.cut, self.params = spec, cut, params
-        # each half as (layout, slice); a split step builds its views from it
-        self._client = (nn.segment_layout(spec.layers[:k]), params[:off])
-        self._server = (nn.segment_layout(spec.layers[k:]), params[off:])
+        self._client = nn.ParamViews(nn.segment_layout(spec.layers[:k]), params[:off])
+        self._server = nn.ParamViews(nn.segment_layout(spec.layers[k:]), params[off:])
         self.row = nn.ParamViews(spec.layout, params[None])
 
     @property
     def client_params(self) -> np.ndarray:
-        return self._client[1]
+        return self._client.params
 
     @property
     def server_params(self) -> np.ndarray:
-        return self._server[1]
+        return self._server.params
 
 
 def split_offset(spec: nn.ModelSpec, cut: CutPoint) -> int:
@@ -87,7 +88,7 @@ def client_forward(model: SplitModel, batch: np.ndarray,
     """Client half forward; returns the smashed batch sent to the server."""
     batch = nn._check_batch(batch, model.spec.input_shape)
     labels = nn._check_labels(labels, model.spec.num_classes, batch.shape[:1])
-    half = nn.ParamViews(*model._client)
+    half = model._client
     acts, aux = nn.segment_forward(half.layout.layers, half.tensors, batch)
     return SmashedBatch(acts[-1], labels, acts, aux)
 
@@ -98,7 +99,7 @@ def server_step(model: SplitModel, smashed: SmashedBatch, lr: float):
     Returns (cut_grad, loss). cut_grad is the loss gradient at the cut
     activations, evaluated at the pre-update server parameters.
     """
-    half = nn.ParamViews(*model._server)
+    half = model._server
     acts, aux = nn.segment_forward(half.layout.layers, half.tensors, smashed.activations)
     loss, dlogits = nn.softmax_cross_entropy(acts[-1], smashed.labels)
     _, cut_grad = nn.segment_backward(half.layout.layers, half.tensors, acts, aux, dlogits,
@@ -115,7 +116,7 @@ def client_backward(model: SplitModel, smashed: SmashedBatch,
         raise nn.ShapeError(
             f"cut gradient shape {cut_grad.shape} does not match "
             f"activations {smashed.activations.shape}")
-    half = nn.ParamViews(*model._client)
+    half = model._client
     nn.segment_backward(half.layout.layers, half.tensors, smashed.client_acts,
                         smashed.client_aux, cut_grad, half.grads, input_grad=False)
     nn.sgd_update(half.params, half.grad, lr)

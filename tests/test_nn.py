@@ -2,17 +2,20 @@
 finite-difference oracle, and the flat parameter-vector layout."""
 
 import hashlib
+import inspect
 import re
 
 import numpy as np
 import pytest
 
+from splitfedsim import split
 from splitfedsim.models import cnn_spec, mlp_spec
 from splitfedsim.nn import (
     BuildError,
     Conv2d,
     Dense,
     Flatten,
+    Layer,
     MaxPool2d,
     ModelSpec,
     ParamViews,
@@ -468,6 +471,76 @@ def test_grad_stops_at_layer_0_with_the_bits_of_backward(build):
                                    input_grad=False)
         assert none is None
         assert flat.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def backward_calls(monkeypatch):
+    """Every Dense and Conv2d backward call, as (layer, input_grad, whether it
+    returned None), in call order."""
+    calls = []
+    for kind in (Dense, Conv2d):
+        def recorded(self, tensors, x, aux, dout, grads, input_grad, _backward=kind.backward):
+            dx = _backward(self, tensors, x, aux, dout, grads, input_grad)
+            calls.append((self, input_grad, dx is None))
+            return dx
+        monkeypatch.setattr(kind, "backward", recorded)
+    return calls
+
+
+def _calls_by_index(spec, calls, lo=0, hi=None):
+    """(input_grad, returned None) of each recorded call, keyed by the index
+    in spec.layers of the layer it ran: a segment's backward visits the
+    layers with parameters of spec.layers[lo:hi] last to first."""
+    at = [i for i, layer in enumerate(spec.layers[lo:hi], lo) if layer.param_shapes()]
+    assert [layer for layer, *_ in calls] == [spec.layers[i] for i in reversed(at)]
+    return {i: tuple(rest) for i, (_, *rest) in zip(reversed(at), calls)}
+
+
+@pytest.mark.parametrize("build", [mlp_spec, cnn_spec], ids=["mlp", "cnn"])
+def test_grad_skips_only_layer_0s_input_gradient(build, backward_calls):
+    spec = build()
+    rng = np.random.default_rng(3)
+    p = init_params(spec, 3)
+    for params, lead in ((p, ()), (np.stack([p, p + 0.01]), (2,))):
+        backward_calls.clear()
+        x = rng.normal(size=lead + (4,) + spec.input_shape)
+        grad(spec, params, x, rng.integers(0, spec.num_classes, size=lead + (4,)))
+        for i, call in _calls_by_index(spec, backward_calls).items():
+            assert call == ((False, True) if i == 0 else (True, False)), i
+
+
+@pytest.mark.parametrize("build", [mlp_spec, cnn_spec], ids=["mlp", "cnn"])
+def test_the_server_computes_the_cut_gradient_and_the_client_skips_layer_0(
+        build, backward_calls):
+    spec = build()
+    rng = np.random.default_rng(4)
+    for name, k in spec.cut_presets.items():
+        model = split.split_at(spec, init_params(spec, 4), split.CutPoint(k))
+        x = rng.normal(size=(4,) + spec.input_shape)
+        smashed = split.client_forward(model, x, rng.integers(0, spec.num_classes, size=4))
+        backward_calls.clear()
+        cut_grad, _ = split.server_step(model, smashed, 0.1)
+        assert cut_grad.shape == smashed.activations.shape, name
+        server = _calls_by_index(spec, backward_calls, k)
+        assert set(server.values()) == {(True, False)}, name
+        backward_calls.clear()
+        split.client_backward(model, smashed, cut_grad, 0.1)
+        client = _calls_by_index(spec, backward_calls, 0, k)
+        assert client.pop(0) == (False, True), name
+        assert set(client.values()) <= {(True, False)}, name
+
+
+def test_every_layer_kind_backward_takes_the_same_parameters():
+    """A new layer kind cannot leave out input_grad, or give it a default, and
+    no kind writes its parameter gradients outside backward."""
+    kinds = Layer.__subclasses__()
+    assert {Dense, Conv2d, MaxPool2d, ReLU, Flatten} <= set(kinds)
+    for kind in kinds:
+        params = inspect.signature(kind.backward).parameters
+        assert list(params) == ["self", "tensors", "x", "aux", "dout", "grads",
+                                "input_grad"], kind.__name__
+        assert all(q.default is q.empty for q in params.values()), kind.__name__
+        assert not hasattr(kind, "param_grads"), kind.__name__
 
 
 def _stack(spec, g, rng):

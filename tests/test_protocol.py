@@ -766,6 +766,32 @@ def test_build_attack_mirrors_config():
     assert build_attack(_tiny_config()).kind == "none"
 
 
+def test_attack_config_map_covers_attack_spec_and_config():
+    """build_attack reads one map of config field to AttackSpec field: with
+    start_round, its values are exactly AttackSpec's fields, and its keys are
+    config fields."""
+    mapping = protocol._ATTACK_CONFIG
+    spec_fields = {f.name for f in dataclasses.fields(AttackSpec)}
+    assert set(mapping.values()) | {"start_round"} == spec_fields
+    assert len(set(mapping.values())) == len(mapping)
+    config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(mapping) | {"attack_start_round"} <= config_fields
+
+
+def test_build_attack_reads_exactly_the_fields_a_fork_may_change():
+    """Changing one config field changes build_attack's spec exactly when
+    Run.fork lets a fork's config differ in that field. The start is pinned,
+    so it does not depend on rounds or partition."""
+    base = _tiny_config(attack="lie", attack_start_round=2)
+    others = {"attack": "agropt", "lie_z": 0.5, "agropt_perturb": "unit",
+              "agropt_gamma_init": 20.0, "agropt_tau": 1e-2, "attack_start_round": 3}
+    for f in dataclasses.fields(ExperimentConfig):
+        # a field build_attack must not read gets a value nothing could use
+        changed = dataclasses.replace(base, **{f.name: others.get(f.name, object())})
+        assert (build_attack(changed) != build_attack(base)) == (
+            f.name in protocol._FORK_EXEMPT), f.name
+
+
 # ---------------------------------------------------------------- forks
 
 

@@ -6,7 +6,8 @@ itself, the code in src/ or bench/, uses everything public:
 - every public top-level function and class of a package module is used
   outside its own definition;
 - every public method, property and annotated field of a public package
-  class is read as an attribute;
+  class is read as an attribute, or named in a table the program reads
+  through getattr;
 - every parameter with a default of a public top-level function is passed,
   by position or by keyword, by some call.
 
@@ -17,7 +18,8 @@ step with the code that runs.
 References are resolved from the AST: a bare name in the module that defines
 it (a local variable of the same name counts too) or in a file that imports
 it from there, and `module.name` where `module` is an imported package
-module. Imports, docstrings and strings do not count. An attribute read
+module. Imports, docstrings and strings do not count, but the string
+entries of each READ_BY_NAME table count as reads of its class's members. An attribute read
 `x.name` counts for the class x is known to be: the enclosing class for
 `self`, the annotated class for a parameter. Any other x may be an instance
 of every package class with that member whose module the file is or imports
@@ -37,10 +39,16 @@ UNUSED_ON_PURPOSE = {
     ("split", "split_train_step"): "a SplitFed round's whole-model local_epoch steps",
 }
 
+# Top-level tables of member names that the program reads through getattr:
+# (file stem, table) -> the (module, class) whose members the entries (a
+# dict's keys, or a tuple's items) name.
+READ_BY_NAME = {
+    ("protocol", "_ATTACK_CONFIG"): ("config", "ExperimentConfig"),   # build_attack
+    ("workloads", "DIGEST_FIELDS"): ("protocol", "RoundRecord"),      # the pass digest
+}
+
 # Members no code reads as an attribute.
 UNREAD_ON_PURPOSE = {
-    ("protocol", "RoundRecord", "round_no"):
-        "bench/workloads.py digests it through getattr, by its name in DIGEST_FIELDS",
     ("split", "SplitModel", "server_params"): "where the tests observe the round",
     ("protocol", "RoundInfo", "benign_rows"): "where the tests observe the round",
     ("protocol", "RoundRecord", "wall_ms"): "per-round time, which ROADMAP item 2's trace will read",
@@ -59,10 +67,25 @@ def _modules():
 
 
 def _program(modules):
-    """(own module name or None, AST) of every file in src/ and bench/."""
+    """(file stem, own module name or None, AST) of every file in src/ and
+    bench/."""
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
         own = path.stem if path.parent == PACKAGE and path.stem in modules else None
-        yield own, modules[own] if own else ast.parse(path.read_text(), str(path))
+        yield path.stem, own, modules[own] if own else ast.parse(path.read_text(), str(path))
+
+
+def _tables(stem, tree):
+    """(stem, table) -> its string entries, for each READ_BY_NAME table that
+    the file defines at its top level."""
+    out = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and (stem, node.targets[0].id) in READ_BY_NAME):
+            value = node.value
+            entries = value.keys if isinstance(value, ast.Dict) else value.elts
+            out[stem, node.targets[0].id] = {e.value for e in entries}
+    return out
 
 
 def _public_defs(tree):
@@ -224,10 +247,12 @@ def _scan():
     classes = _classes(modules)
     defaults = _defaults(modules)
     used, read, passed = set(), set(), set()
-    for own, tree in _program(modules):
+    for stem, own, tree in _program(modules):
         resolver = _Resolver(tree, modules, own)
         used.update(_references(tree, resolver, own))
         read.update(_reads(tree, resolver, classes))
+        read.update(READ_BY_NAME[table] + (name,)
+                    for table, names in _tables(stem, tree).items() for name in names)
         passed.update(_passed(tree, resolver, defaults))
     public = {(m, name) for m, tree in modules.items() for name in _public_defs(tree)}
     members = {key + (name,) for key, names in classes.items() for name in names}
@@ -272,3 +297,14 @@ def test_the_exceptions_are_public_and_unused():
     assert set(UNUSED_ON_PURPOSE) <= public - used
     assert set(UNREAD_ON_PURPOSE) <= members - read
     assert set(UNSET_ON_PURPOSE) <= defaults - passed
+
+
+def test_each_read_by_name_table_is_defined_and_names_members():
+    modules = _modules()
+    classes = _classes(modules)
+    tables = {}
+    for stem, _, tree in _program(modules):
+        tables.update(_tables(stem, tree))
+    assert set(tables) == set(READ_BY_NAME), "a READ_BY_NAME table is gone or renamed"
+    for table, names in tables.items():
+        assert names and names <= classes[READ_BY_NAME[table]], (table, names)
