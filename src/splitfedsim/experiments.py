@@ -4,9 +4,11 @@ byte-stable CSV format, and a small self-contained SVG line chart.
 Every attacked cell is paired with a reference run whose config differs only
 in the attack field, so accuracy drops always compare like with like. The
 two compute the same bits until the attack starts, so train_many forks the
-attacked run from its reference there rather than train those rounds twice.
-The process pool is imported only when a sweep uses more than one process,
-so a single run never loads it.
+attacked run from its reference there rather than train those rounds twice,
+and it steps the runs that share their data (a data group: the cells of one
+seed, fraction and defense at every cut) as one stack, in lockstep. The
+process pool is imported only when a sweep uses more than one process, so a
+single run never loads it.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config_text
-from .protocol import RoundRecord, Run, train
+from .protocol import RoundRecord, Run, data_group, fork_round, train
 
 CSV_HEADER = "mode,model,cut,defense,attack,frac_malicious,seed,acc,acc_attack,acc_drop,gamma_last"
 
@@ -106,58 +108,61 @@ def _cell_configs(base: ExperimentConfig, axes: dict[str, list]):
     return cells
 
 
-def _fork_round(task: tuple[ExperimentConfig, ...]) -> int:
-    """The round at which a task's attacked runs fork from its first run, their
-    reference: the first round any of them attacks, at most the last."""
-    return min([c.resolved_attack_start() for c in task[1:]] + [task[0].rounds])
+def _family_rounds(family: tuple[ExperimentConfig, ...]) -> int:
+    """The member-rounds a family trains: its root's, and each fork's from
+    its fork round on."""
+    return family[0].rounds + sum(c.rounds - fork_round(c) for c in family[1:])
 
 
-def _task_rounds(task: tuple[ExperimentConfig, ...]) -> int:
-    """The rounds a task trains: its reference's, and each fork's from the fork round on."""
-    return task[0].rounds + (len(task) - 1) * (task[0].rounds - _fork_round(task))
+def _stack_rounds(stack: list[tuple[ExperimentConfig, ...]]) -> int:
+    return sum(map(_family_rounds, stack))
 
 
-def _makespan(tasks: list[tuple], n_jobs: int) -> int:
-    """The most rounds a worker trains when each task, longest first, goes to the least loaded."""
-    loads = [0] * min(n_jobs, len(tasks))
-    for rounds in sorted(map(_task_rounds, tasks), reverse=True):
-        loads[loads.index(min(loads))] += rounds
-    return max(loads, default=0)
-
-
-def _train_task(task: tuple[ExperimentConfig, ...]) -> list[list[RoundRecord]]:
-    """Train a task's runs, each in its own train() call: the attacked runs
-    are forked from the first, their reference, at _fork_round."""
-    if len(task) == 1:
-        return [train(task[0])]
-    run = Run(task[0])
-    run.fork_plan = (_fork_round(task), task[1:])
-    return [train(run)] + [train(fork) for fork in run.forks]
+def _train_task(stack: list[tuple[ExperimentConfig, ...]]) -> dict[tuple, list[RoundRecord]]:
+    """Train a stack's families in lockstep, each run in its own train() call:
+    each family's root is its own Run, its attacked runs fork from it at
+    their fork rounds, and the first root's train() steps them all. Returns
+    each run's records by its config tuple."""
+    roots = [Run(family[0]) for family in stack]
+    lead = roots[0]
+    lead.join(roots[1:])
+    lead.fork_plan = [(root, c) for root, family in zip(roots, stack) for c in family[1:]]
+    records = [train(lead)] + [train(run) for run in lead.stack[1:]]
+    return {dataclasses.astuple(run.config): r for run, r in zip(lead.stack, records)}
 
 
 def train_many(configs: list[ExperimentConfig], n_jobs: int = 1) -> list[list[RoundRecord]]:
     """[train(c) for c in configs], each distinct config trained once, on up to
-    n_jobs processes. An attacked run whose attack = none reference is also
-    here and whose attack starts after round 0 can share a task with it: the
-    reference's train() forks it at the attack's first round, and it trains on
-    in its own train() call, its earlier records keeping the reference's
-    wall_ms. Groups are merged, largest saving first, as far as that shortens
-    the longest-first schedule of the tasks' rounds on n_jobs workers (on one,
-    all are). Tasks are handed out longest first."""
+    n_jobs processes. A family is a run and, when it is an attack = none
+    reference, every attacked config here that differs from it only in the
+    attack: they fork from it at their fork rounds. The families of one data
+    group (protocol.data_group: equal but for the cut and the attack) train
+    as one stack, in lockstep, every run in its own train() call. Each
+    record's wall_ms is the wall time of its stack's round, and a fork's
+    records before its fork round are its root's. While there are fewer
+    stacks than min(n_jobs, families), the costliest stack of two or more
+    families is split by families into two of near-equal member-rounds.
+    Stacks are handed out longest first."""
     unique = {dataclasses.astuple(c): c for c in configs}
-    groups: dict[tuple, tuple] = {}   # reference key -> its task
-    for cfg in unique.values():
+    families: dict[tuple, list] = {}   # root key -> [root, *forks]
+    for key, cfg in unique.items():
         ref = dataclasses.astuple(dataclasses.replace(cfg, attack="none"))
-        if cfg.attack != "none" and ref in unique and _fork_round((unique[ref], cfg)):
-            groups[ref] = groups.get(ref, (unique[ref],)) + (cfg,)
-    merge = sorted(groups.values(), key=lambda t: -(len(t) - 1) * _fork_round(t))
-
-    def tasks(merged: int) -> list[tuple]:
-        inside = {dataclasses.astuple(c) for t in merge[:merged] for c in t}
-        return merge[:merged] + [(c,) for k, c in unique.items() if k not in inside]
-
-    best = min(range(len(merge) + 1), key=lambda m: (_makespan(tasks(m), n_jobs), -m))
-    todo = sorted(tasks(best), key=_task_rounds, reverse=True)
+        if cfg.attack != "none" and ref in unique:
+            families.setdefault(ref, [unique[ref]]).append(cfg)
+        else:
+            families.setdefault(key, [cfg])
+    groups: dict[tuple, list] = {}
+    for family in families.values():
+        groups.setdefault(data_group(family[0]), []).append(tuple(family))
+    stacks = list(groups.values())
+    while len(stacks) < min(n_jobs, len(families)):
+        big = max((s for s in stacks if len(s) > 1), key=_stack_rounds)
+        stacks.remove(big)
+        halves = ([], [])
+        for family in sorted(big, key=_family_rounds, reverse=True):
+            min(halves, key=lambda h: (_stack_rounds(h), len(h))).append(family)
+        stacks += halves
+    todo = sorted(stacks, key=_stack_rounds, reverse=True)
     if n_jobs > 1 and len(todo) > 1:
         # imported here: a single run skips loading multiprocessing (~25 ms)
         from concurrent.futures import ProcessPoolExecutor
@@ -166,8 +171,7 @@ def train_many(configs: list[ExperimentConfig], n_jobs: int = 1) -> list[list[Ro
             done = list(pool.map(_train_task, todo))
     else:
         done = map(_train_task, todo)
-    history = {dataclasses.astuple(c): h for task, hs in zip(todo, done)
-               for c, h in zip(task, hs)}
+    history = {key: records for part in done for key, records in part.items()}
     return [history[dataclasses.astuple(c)] for c in configs]
 
 

@@ -13,11 +13,10 @@ mode the stack is the clients that train (every selected one, or the benign
 ones under an active attack, when it is the benign matrix the attacker
 sorts), and a row is a client's full parameter vector after its epoch. In
 splitfed mode every selected client, malicious ones too, trains in turn,
-lowest id first (SFLV2), on the SplitModel's one-row view: it starts from
-the round's client half, and the server half carries over from client to
-client. Only the client halves pass through the aggregation rule, so
-poisoning acts on them alone, which is what makes the cut position matter.
-The SplitModel is splitfed's only state.
+lowest id first (SFLV2): it starts from the round's client half, and the
+server half carries over from client to client. Only the client halves pass
+through the aggregation rule, so poisoning acts on them alone, which is what
+makes the cut position matter. The SplitModel is splitfed's only state.
 
 Every random choice comes from a fresh generator seeded from the experiment
 seed, so a config determines the full history bit for bit. The keys are not
@@ -25,6 +24,11 @@ all distinct: the datasets, the partition and the initial parameters each
 open default_rng(seed), and sample_clients opens [seed, round_no], which at
 round 1 is pick_malicious's key. So until its attack starts, a run computes
 the bits of its attack = none twin: Run.fork copies a run in progress there.
+And runs whose configs differ only in the cut and the attack (a data group)
+draw the same data, partition, coalition, clients and batch orders: a Run
+steps those of its group in lockstep, its splitfed runs as the rows of one
+(G, d) stack that local_epoch trains on each client's batches, drawn once;
+nn gives each row the bits of its own call. A single run is a stack of one.
 """
 from __future__ import annotations
 
@@ -243,30 +247,40 @@ def run_fl_round(ctx: RoundContext, spec: nn.ModelSpec, global_params: np.ndarra
     return _aggregate_round(ctx, stack, global_params, losses, attack, defense)
 
 
-def run_splitfed_round(ctx: RoundContext, model: split.SplitModel, train: Dataset,
-                       part: list[np.ndarray], batch_size: int, seed: int,
-                       attack: AttackSpec, defense: str) -> RoundInfo:
-    """One splitfed round on `model`. Each client, lowest id first, starts
-    from the round's client half and trains the whole model through
-    local_epoch on model.row, so the server half carries over, and sees the
-    malicious clients' batches too. The aggregate of the halves of
-    _row_clients becomes the model's; the round's loss is the mean over all
-    batches. train holds each sample in the model's input shape."""
-    attack = _active_attack(ctx, attack)
-    start = model.client_params.copy()
-    kept = _row_clients(ctx, attack)
-    rows = np.empty((kept.size, start.size))
-    row_of = dict(zip(kept.tolist(), rows))
-    losses = []
+def run_splitfed_round(ctx: RoundContext, models: list[split.SplitModel],
+                       stack: nn.ParamViews, train: Dataset, part: list[np.ndarray],
+                       batch_size: int, seed: int, attacks: list[AttackSpec],
+                       defense: str) -> list[RoundInfo]:
+    """One splitfed round on a stack of models of one spec, which may differ
+    in cut and attack: model i is row i of stack.params (a lone model's
+    stack is model.row). Each client, lowest id first, draws its batches
+    once; every model starts from its own round-start client half, and
+    local_epoch trains the whole stack on those batches, so each server half
+    carries over and sees the malicious clients' batches too. The aggregate
+    of a model's _row_clients halves becomes its client half; its round loss
+    is the mean over all its batches. train holds each sample in the
+    models' input shape. Returns each model's RoundInfo."""
+    attacks = [_active_attack(ctx, a) for a in attacks]
+    starts = [m.client_params.copy() for m in models]
+    kept = [_row_clients(ctx, a) for a in attacks]
+    rows = [np.empty((k.size, s.size)) for k, s in zip(kept, starts)]
+    row_of = [dict(zip(k.tolist(), r)) for k, r in zip(kept, rows)]
+    losses = [[] for _ in models]
     for cid in ctx.selected.tolist():
-        model.client_params[...] = start
+        for model, start in zip(models, starts):
+            model.client_params[...] = start
         batches = client_batches(part[cid], batch_size, ctx.round_no, cid, seed)
-        losses += local_epoch(model.spec, model.row, train, [batches], ctx.lr)[0]
-        if cid in row_of:
-            row_of[cid][...] = model.client_params
-    new, info = _aggregate_round(ctx, rows, start, losses, attack, defense)
-    model.client_params[...] = new
-    return info
+        trained = local_epoch(models[0].spec, stack, train, [batches] * len(models), ctx.lr)
+        for model, mine, new, of in zip(models, losses, trained, row_of):
+            mine += new
+            if cid in of:
+                of[cid][...] = model.client_params
+    infos = []
+    for model, r, start, loss, attack in zip(models, rows, starts, losses, attacks):
+        new, info = _aggregate_round(ctx, r, start, loss, attack, defense)
+        model.client_params[...] = new
+        infos.append(info)
+    return infos
 
 
 def evaluate(spec: nn.ModelSpec, params: np.ndarray, test: Dataset) -> float:
@@ -308,10 +322,28 @@ def build_attack(config: "ExperimentConfig") -> AttackSpec:
                       start_round=config.resolved_attack_start())
 
 
+def data_group(config: "ExperimentConfig") -> tuple:
+    """What runs must share to step in lockstep: every config field but the
+    cut and _FORK_EXEMPT. Runs of one data group draw the same data,
+    partition, coalition, clients and batch orders, bit for bit."""
+    return tuple(getattr(config, f.name) for f in fields(config)
+                 if f.name != "cut" and f.name not in _FORK_EXEMPT)
+
+
+def fork_round(config: "ExperimentConfig") -> int:
+    """The round at which config's run forks from its attack = none twin:
+    its attack's first round, at most the last."""
+    return min(config.resolved_attack_start(), config.rounds)
+
+
 class Run:
-    """One experiment in progress: the constructor does what train() does
-    before round 0, step() trains one round into records. Given a fork_plan
-    (round, configs), train() forks the run there for each config, into forks."""
+    """One experiment in progress, and the runs of its data group that it
+    steps in lockstep, its stack (itself first). The constructor does what
+    train() does before round 0; step() trains one round of every run on the
+    stack into that run's records. join(runs) adds runs to the stack, and
+    train() forks each (parent, config) of fork_plan from a stacked parent at
+    fork_round(config) and joins it there. The splitfed runs of a stack are
+    the rows of one (G, d) buffer, rebuilt when runs join."""
 
     def __init__(self, config: "ExperimentConfig"):
         self.config = config.validate()
@@ -325,44 +357,77 @@ class Run:
                                         config.seed)
         self.attack = build_attack(config)
         self.params = nn.init_params(self.spec, config.seed)
-        self.model = None
+        self.model = self.views = None
         if config.mode == "splitfed":
             cut = split.CutPoint(self.spec.cut_presets[config.cut])
             self.model = split.split_at(self.spec, self.params, cut)
             self.params = self.model.params   # the rounds update it in place
+            self.views = self.model.row
         self.rounds_done, self.records = 0, []
-        self.fork_plan, self.forks = None, []
+        self.joined, self.fork_plan = [], []
+
+    @property
+    def stack(self) -> list["Run"]:
+        """This run and the runs joined to it. It keeps the others apart from
+        itself, so that a Run is no reference cycle, which would hold its
+        arrays until the cyclic garbage collector runs."""
+        return [self, *self.joined]
 
     def step(self) -> None:
-        """Train round rounds_done, and record it if it is evaluated."""
-        config, r = self.config, self.rounds_done
+        """Train round rounds_done of every run on the stack, and record it if
+        it is evaluated. All of them read this run's data; each record's
+        wall_ms is the stack's round."""
+        config, r, runs = self.config, self.rounds_done, self.stack
         t0 = time.perf_counter()
         selected = sample_clients(config.n_clients, config.clients_per_round,
                                   r, config.seed)
         ctx = RoundContext(r, selected, self.malicious, config.lr)
         if self.model is not None:
-            info = run_splitfed_round(ctx, self.model, self.train_ds, self.part,
-                                      config.batch_size, config.seed, self.attack,
-                                      config.defense)
+            infos = run_splitfed_round(ctx, [run.model for run in runs], self.views,
+                                       self.train_ds, self.part, config.batch_size,
+                                       config.seed, [run.attack for run in runs],
+                                       config.defense)
         else:
-            self.params, info = run_fl_round(
-                ctx, self.spec, self.params, self.train_ds, self.part,
-                config.batch_size, config.seed, self.attack, config.defense)
-        if not np.isfinite(self.params).all():
+            infos = []
+            for run in runs:
+                run.params, info = run_fl_round(
+                    ctx, self.spec, run.params, self.train_ds, self.part,
+                    config.batch_size, config.seed, run.attack, config.defense)
+                infos.append(info)
+        if not all(np.isfinite(run.params).all() for run in runs):
             raise FloatingPointError(
                 f"round {r}: the parameters are not finite; the run diverged")
         if (r + 1) % config.eval_every == 0 or r == config.rounds - 1:
-            acc = evaluate(self.spec, self.params, self.test_ds)
-            self.records.append(RoundRecord(r, acc, info.loss, info.gamma,
-                                            info.deviation,
-                                            (time.perf_counter() - t0) * 1000.0))
-        self.rounds_done = r + 1
+            accs = [evaluate(self.spec, run.params, self.test_ds) for run in runs]
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            for run, acc, info in zip(runs, accs, infos):
+                run.records.append(RoundRecord(r, acc, info.loss, info.gamma,
+                                               info.deviation, wall_ms))
+        for run in runs:
+            run.rounds_done = r + 1
+
+    def join(self, runs: list["Run"]) -> None:
+        """Step runs, each of this run's data group and at its round, with it
+        from now on."""
+        for run in runs:
+            if data_group(run.config) != data_group(self.config):
+                raise ValueError("cannot join a run of another data group")
+            if run.rounds_done != self.rounds_done:
+                raise ValueError(f"cannot join a run at round {run.rounds_done} "
+                                 f"to one at round {self.rounds_done}")
+        self.joined += runs
+        if runs and self.model is not None:
+            stacked = np.stack([run.params for run in self.stack])
+            for run, row in zip(self.stack, stacked):
+                run.params = row
+                run.model = split.SplitModel(self.spec, run.model.cut, row)
+            self.views = nn.ParamViews(self.spec.layout, stacked)
 
     def fork(self, config: "ExperimentConfig") -> "Run":
         """This run at its current round as config's run would stand there, for
         a config that differs only in an attack that has not started. It has
-        its own parameters and records (wall_ms kept) and shares the rest;
-        every random draw is keyed by (seed, round, client)."""
+        its own parameters, records (wall_ms kept) and a stack of its own,
+        and shares the rest; every random draw is keyed by (seed, round, client)."""
         differ = [f.name for f in fields(config) if f.name not in _FORK_EXEMPT
                   and getattr(config, f.name) != getattr(self.config, f.name)]
         if differ:
@@ -374,24 +439,28 @@ class Run:
         run = copy.copy(self)
         run.config, run.attack = config.validate(), build_attack(config)
         run.records = [replace(rec) for rec in self.records]
-        run.fork_plan, run.forks = None, []
+        run.joined, run.fork_plan = [], []
         run.params = self.params.copy()
         if self.model is not None:   # a model over the copy, with its own views
             run.model = split.SplitModel(self.spec, self.model.cut, run.params)
+            run.views = run.model.row
         return run
 
 
 def train(job: "ExperimentConfig | Run") -> list[RoundRecord]:
     """Run a full experiment, from its config or from a Run, which is stepped
-    to its end and forked as its fork_plan asks; one RoundRecord per evaluated
-    round.
+    to its end with every run on its stack, each fork of its fork_plan
+    joining at its fork round; one RoundRecord per evaluated round. A Run
+    that another run's train() stepped to its end returns its records.
 
-    Raises FloatingPointError naming the round after which the parameters
-    are no longer finite, so that a diverged run never reports accuracy."""
+    Raises FloatingPointError naming the round after which the parameters of
+    a run on the stack are no longer finite, so that a diverged run never
+    reports accuracy."""
     run = job if isinstance(job, Run) else Run(job)
     while True:
-        if run.fork_plan and run.fork_plan[0] == run.rounds_done:
-            run.forks = [run.fork(c) for c in run.fork_plan[1]]
+        due = [fork_round(c) <= run.rounds_done for _, c in run.fork_plan]
+        run.join([parent.fork(c) for (parent, c), now in zip(run.fork_plan, due) if now])
+        run.fork_plan = [plan for plan, now in zip(run.fork_plan, due) if not now]
         if run.rounds_done == run.config.rounds:
             return run.records
         run.step()

@@ -109,6 +109,64 @@ def test_traced_sweep_passes_count_one_run_span_per_run_and_repeat_exactly(tmp_p
     assert not differ, differ
 
 
+# Two traced passes of a 2-worker Dirichlet sweep over two cuts and two seeds,
+# each cell with its no-attack reference: 8 unique runs, which train_many
+# steps as two stacks of four (one per seed), the attacks forking at round 2.
+# Each pass reports its run spans, its exact counts, and the nn.grad spans
+# that no run span encloses.
+_TRACE_STACKED_SWEEP = _IMPORT_AS_RUN_PY + """
+import json, os
+from splitfedsim import experiments
+from splitfedsim.config import ExperimentConfig
+out = sys.argv[1]
+tracer = tracing.Tracer(out)
+base = ExperimentConfig(mode="splitfed", attack="agropt", rounds=8, blob_per_class=50,
+                        n_clients=4, clients_per_round=4, partition="dirichlet",
+                        dirichlet_alpha=0.5, defense="trmean")
+passes = []
+for _ in range(2):
+    tracer.pass_no += 1
+    with tracing.installed(tracer):
+        result = experiments.run_sweep(base, {"cut": ["v1", "v3"], "seed": [1, 2]},
+                                       n_jobs=2)
+        tracer.flush("parent")
+    assert not result.skipped, result.skipped
+    outside = 0
+    for name in os.listdir(out):
+        if name.startswith(f"pass{tracer.pass_no}-"):
+            with open(os.path.join(out, name), encoding="utf-8") as f:
+                spans = json.load(f)["spans"]
+            for span in spans:
+                if span[0] == "nn.grad":
+                    parent = span[3]
+                    while parent >= 0 and spans[parent][0] != tracing.RUN:
+                        parent = spans[parent][3]
+                    outside += parent < 0
+    summary = tracing.summarize(out, tracer.pass_no)
+    passes.append({"runs": summary.calls[tracing.RUN], "outside": outside,
+                   "metrics": tracing.layer_metrics(summary, 8 * base.rounds, 2)})
+print(json.dumps({"exact": tracing.EXACT, "passes": passes}))
+"""
+
+
+def test_a_traced_stacked_sweep_keeps_the_trace_contract(tmp_path):
+    """Stacked runs still end in one train() call each: a traced pass opens
+    one run span per unique config, repeats every exact count, and every
+    nn.grad span lies inside a run span (the stack's lead's)."""
+    proc = subprocess.run([sys.executable, "-c", _TRACE_STACKED_SWEEP, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    first, second = out["passes"]
+    for p in (first, second):
+        assert p["runs"] == 8 and p["outside"] == 0
+        assert p["metrics"]["nn.grad.calls"] > 0
+        assert p["metrics"]["attacks.gamma_search.evals"] > 0
+    differ = {key: (first["metrics"][key], second["metrics"][key])
+              for key in out["exact"] if first["metrics"][key] != second["metrics"][key]}
+    assert not differ, differ
+
+
 # The kernel table of every workload, checked against BENCHMARK.json's
 # per-layer kernel names
 _KERNEL_TABLES = _IMPORT_AS_RUN_PY + """

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitfedsim import experiments, nn
+from splitfedsim import experiments, nn, protocol
 from splitfedsim.config import ConfigError, ExperimentConfig
 from splitfedsim.experiments import (
     CSV_HEADER,
@@ -127,8 +127,8 @@ def test_run_sweep_skips_infeasible_cells_with_reason():
 
 def test_run_sweep_pool_has_at_most_one_worker_per_run(monkeypatch):
     """Under fork the pool launches all max_workers at once, so the pool
-    is capped at the number of runs. A serial stand-in records the cap;
-    no real pool is started."""
+    is capped at the number of stacks, which is at most the number of runs.
+    A serial stand-in records the cap; no real pool is started."""
     seen = []
 
     class _SerialPool:
@@ -146,9 +146,13 @@ def test_run_sweep_pool_has_at_most_one_worker_per_run(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     cfg = _tiny_config(attack="lie", rounds=1)
-    result = run_sweep(cfg, {}, n_jobs=5000)   # one cell and its reference
+    # one cell and its reference are one stack: no pool
+    assert run_sweep(cfg, {}, n_jobs=5000) == run_sweep(cfg, {})
+    assert seen == []
+    # two seeds are two data groups, two stacks of two runs
+    result = run_sweep(cfg, {"seed": [2, 3]}, n_jobs=5000)
     assert seen == [2]
-    assert result == run_sweep(cfg, {})
+    assert result == run_sweep(cfg, {"seed": [2, 3]})
 
 
 class _RecordingPool:
@@ -187,8 +191,9 @@ def _dirichlet_config(**overrides):
 
 
 def test_an_attacked_run_trains_its_shared_prefix_once(monkeypatch):
-    """A one-cell sweep calls nn.grad for every step of the reference and
-    for the attacked run's steps from its fork round on, and no more."""
+    """A one-cell sweep calls nn.grad for the reference's steps alone: the
+    attacked run forks from it at its attack start and then steps in the
+    same nn.grad calls."""
     calls = []
     grad = nn.grad
 
@@ -210,58 +215,84 @@ def test_an_attacked_run_trains_its_shared_prefix_once(monkeypatch):
     prefix_steps, _ = steps(dataclasses.replace(ref, rounds=cfg.resolved_attack_start()))
     calls.clear()
     result = run_sweep(cfg, {})
-    assert len(calls) == ref_steps + attacked_steps - prefix_steps
-    assert 0 < prefix_steps < attacked_steps
+    assert len(calls) == ref_steps
+    assert 0 < prefix_steps < attacked_steps == ref_steps
     row, = result.rows
     assert row.acc == final_accuracy(ref_records)
     assert row.acc_attack == final_accuracy(attacked_records)
 
 
-def _rounds(task):
-    """Rounds a task trains: 8 for a run of its own, 8 + 6 for a reference
-    with one attacked run forked at round 2."""
-    return 8 + 6 * (len(task) - 1)
+def _runs(stack):
+    return sum(map(len, stack))
 
 
-def test_four_groups_on_two_jobs_are_four_merged_tasks(serial_pool):
+def test_four_groups_on_two_jobs_are_two_stacks_of_four(serial_pool):
+    """Each seed is a data group of two families (a cut's reference and its
+    attacked run): one stack each, one per worker."""
     cfg = _dirichlet_config()
     axes = {"cut": ["v1", "v3"], "seed": [2, 3]}
     result = run_sweep(cfg, axes, n_jobs=2)
-    tasks, = serial_pool.tasks
+    stacks, = serial_pool.tasks
     assert serial_pool.caps == [2]
-    assert [len(t) for t in tasks] == [2, 2, 2, 2]   # 28 rounds a worker, not 32
-    assert all(ref.attack == "none" and run.attack == "agropt" for ref, run in tasks)
+    assert [_runs(s) for s in stacks] == [4, 4]
+    for stack in stacks:
+        assert len({c.seed for family in stack for c in family}) == 1
+        assert sorted(ref.cut for ref, _ in stack) == ["v1", "v3"]
+        assert all(ref.attack == "none" and run.attack == "agropt" for ref, run in stack)
     assert result == run_sweep(cfg, axes)
 
 
-def test_three_groups_on_two_jobs_merge_no_more_than_shortens_the_schedule(serial_pool):
-    """Merged, each group is 14 rounds: all three would keep one worker
-    busy for 28. Two merged and two lone runs, 14 + 8 a worker, beat both
-    that and the unmerged 24."""
+def test_three_families_on_two_jobs_split_into_stacks_of_two_and_one(serial_pool):
+    """The three cuts are one data group, three families of 8 + 6 member-rounds:
+    fewer stacks than min(jobs, families), so the stack splits by families,
+    longest first, and the longest worker trains 28 member-rounds, not 42."""
     cfg = _dirichlet_config()
     axes = {"cut": ["v1", "v2", "v3"]}
     result = run_sweep(cfg, axes, n_jobs=2)
-    tasks, = serial_pool.tasks
-    assert [_rounds(t) for t in tasks] == [14, 14, 8, 8]   # longest first
-    unmerged = [(c,) for t in tasks for c in t]
-    assert experiments._makespan(tasks, 2) < experiments._makespan(unmerged, 2)
+    stacks, = serial_pool.tasks
+    assert serial_pool.caps == [2]
+    assert [len(s) for s in stacks] == [2, 1]
+    assert [experiments._stack_rounds(s) for s in stacks] == [28, 14]
+    unsplit = [family for s in stacks for family in s]
+    assert max(map(experiments._stack_rounds, stacks)) < experiments._stack_rounds(unsplit)
     assert result == run_sweep(cfg, axes)
 
 
-def test_one_job_merges_every_group_and_iid_cells_none(monkeypatch):
-    tasks = []
+def test_one_job_stacks_each_data_group_and_iid_cells_from_round_0(monkeypatch):
+    stacks = []
     train_task = experiments._train_task
 
-    def recorded(task):
-        tasks.append(task)
-        return train_task(task)
+    def recorded(stack):
+        stacks.append(stack)
+        return train_task(stack)
 
     monkeypatch.setattr(experiments, "_train_task", recorded)
     run_sweep(_dirichlet_config(), {"cut": ["v1", "v2", "v3"]}, n_jobs=1)
-    assert [len(t) for t in tasks] == [2, 2, 2]
-    tasks.clear()
+    assert [[len(f) for f in s] for s in stacks] == [[2, 2, 2]]
+    stacks.clear()
+    # the attack starts at round 0: the attacked runs fork there
     run_sweep(_dirichlet_config(partition="iid"), {"cut": ["v1", "v2", "v3"]}, n_jobs=1)
-    assert [len(t) for t in tasks] == [1] * 6   # the attack starts at round 0
+    assert [[len(f) for f in s] for s in stacks] == [[2, 2, 2]]
+    stacks.clear()
+    run_sweep(_dirichlet_config(), {"cut": ["v1", "v3"], "seed": [2, 3]}, n_jobs=1)
+    assert [_runs(s) for s in stacks] == [4, 4]
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_a_stack_draws_each_batch_order_once(serial_pool, monkeypatch, n_jobs):
+    """client_batches runs once per (round, selected client) per stack, and
+    each stack of a splitfed sweep holds its seed's four runs."""
+    draws = []
+    client_batches = protocol.client_batches
+
+    def recorded(shard, batch_size, round_no, client_id, seed):
+        draws.append((seed, round_no, client_id))
+        return client_batches(shard, batch_size, round_no, client_id, seed)
+
+    monkeypatch.setattr(protocol, "client_batches", recorded)
+    cfg = _dirichlet_config(clients_per_round=3)
+    run_sweep(cfg, {"cut": ["v1", "v3"], "seed": [2, 3]}, n_jobs=n_jobs)
+    assert len(draws) == len(set(draws)) == 2 * cfg.rounds * 3
 
 
 def test_run_sweep_unknown_axis():

@@ -4,6 +4,7 @@ the end-to-end train loop's determinism."""
 
 import collections
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -516,9 +517,9 @@ def test_splitfed_round_single_client_is_centralized():
     for cut_name in ("v1", "v2", "v3"):
         model = split.split_at(spec, params, split.CutPoint(spec.cut_presets[cut_name]))
         ctx = RoundContext(0, np.array([0]), frozenset(), lr=0.05)
-        info = run_splitfed_round(
-            ctx, model, ds, part, batch_size=16, seed=11,
-            attack=_no_attack(), defense="fedavg",
+        info, = run_splitfed_round(
+            ctx, [model], model.row, ds, part, batch_size=16, seed=11,
+            attacks=[_no_attack()], defense="fedavg",
         )
         manual = params
         for idx in client_batches(part[0], 16, 0, 0, seed=11):
@@ -538,7 +539,8 @@ def test_splitfed_attack_space_tracks_cut():
     for cut_name, dim in expected_dims.items():
         model = split.split_at(spec, params, split.CutPoint(spec.cut_presets[cut_name]))
         ctx = RoundContext(0, np.arange(5), frozenset({4}), lr=0.05)
-        info = run_splitfed_round(ctx, model, ds, part, 16, 13, attack, "median")
+        info, = run_splitfed_round(ctx, [model], model.row, ds, part, 16, 13, [attack],
+                                   "median")
         assert info.rows.shape == (5, dim)
         assert info.gamma is not None
 
@@ -554,10 +556,11 @@ def test_splitfed_malicious_training_still_feeds_server():
     model_attacked = split.split_at(spec, params, split.CutPoint(4))
     model_clean = split.split_at(spec, params, split.CutPoint(4))
     ctx = RoundContext(0, np.arange(4), frozenset({1}), lr=0.05)
-    attacked = run_splitfed_round(ctx, model_attacked, ds, part, 16, 5,
-                                  AttackSpec(kind="lie", start_round=0), "median")
+    attacked, = run_splitfed_round(ctx, [model_attacked], model_attacked.row, ds, part,
+                                   16, 5, [AttackSpec(kind="lie", start_round=0)], "median")
     ctx2 = RoundContext(0, np.arange(4), frozenset({1}), lr=0.05)
-    clean = run_splitfed_round(ctx2, model_clean, ds, part, 16, 5, _no_attack(), "median")
+    clean, = run_splitfed_round(ctx2, [model_clean], model_clean.row, ds, part, 16, 5,
+                                [_no_attack()], "median")
     np.testing.assert_array_equal(model_attacked.server_params, model_clean.server_params)
     # each benign client's half sits in its own slot of the attacker's matrix
     assert attacked.benign_rows.tobytes() == clean.rows[~ctx.mask].tobytes()
@@ -575,7 +578,8 @@ def test_splitfed_round_all_malicious_active_keeps_client_global():
         model = split.split_at(spec, params, split.CutPoint(4))
         client_global = model.client_params.copy()
         server_before = model.server_params.copy()
-        info = run_splitfed_round(ctx, model, ds, part, 16, 5, attack, "trmean")
+        info, = run_splitfed_round(ctx, [model], model.row, ds, part, 16, 5, [attack],
+                                   "trmean")
         np.testing.assert_array_equal(model.client_params, client_global)
         assert info.gamma is None and info.deviation is None
         assert info.rows.shape == (0, client_global.size)
@@ -590,7 +594,8 @@ def test_splitfed_round_all_malicious_inactive_aggregates_honest_rows():
     params = nn.init_params(spec, 10)
     model = split.split_at(spec, params, split.CutPoint(4))
     ctx = RoundContext(0, np.array([0, 3]), frozenset({0, 3}), lr=0.05)
-    info = run_splitfed_round(ctx, model, ds, part, 16, 5, _no_attack(), "median")
+    info, = run_splitfed_round(ctx, [model], model.row, ds, part, 16, 5, [_no_attack()],
+                               "median")
     assert info.rows.shape == (2, model.client_params.size)
     np.testing.assert_array_equal(model.client_params,
                                   (info.rows[0] + info.rows[1]) / 2.0)
@@ -606,7 +611,8 @@ def test_splitfed_round_does_not_alias_its_inputs_or_rows():
         model = split.split_at(spec, params, split.CutPoint(spec.cut_presets["v2"]))
         client_half = model.client_params
         ctx = RoundContext(0, np.arange(5), frozenset({4}), lr=0.05)
-        info = run_splitfed_round(ctx, model, ds, part, 16, 13, attack, "median")
+        info, = run_splitfed_round(ctx, [model], model.row, ds, part, 16, 13, [attack],
+                                   "median")
         np.testing.assert_array_equal(params, before)
         # the aggregate lands in the model's own fixed view of its buffer
         assert model.client_params is client_half
@@ -681,11 +687,40 @@ def test_splitfed_round_is_the_split_handoff_byte_for_byte(build, case):
         ctx = RoundContext(1, selected, malicious, lr=0.05)
         rows, loss, want = _replay_splitfed_round(ctx, model, ds, part, 8, 4, attack,
                                                   defense)
-        info = run_splitfed_round(ctx, model, ds, part, 8, 4, attack, defense)
+        info, = run_splitfed_round(ctx, [model], model.row, ds, part, 8, 4, [attack], defense)
         assert info.rows.tobytes() == rows.tobytes()
         assert np.float64(info.loss).tobytes() == np.float64(loss).tobytes()
         assert model.params.tobytes() == want.tobytes()
         assert (info.gamma is None) == (case != "attacked")
+
+
+@pytest.mark.parametrize("build", [mlp_spec, cnn_spec], ids=["mlp", "cnn"])
+@pytest.mark.parametrize("case", sorted(_SPLIT_ROUNDS))
+def test_a_splitfed_stack_gives_each_model_the_bits_of_its_own_round(build, case):
+    """Models at every cut, each from its own parameters and under the
+    case's attack or none, stepped as one stack on the same batches, each
+    get the rows, loss, gamma and parameters of their own one-model round."""
+    selected, malicious, attack, defense = _SPLIT_ROUNDS[case]
+    spec = build()
+    labels = _toy_data(n=96, classes=spec.num_classes, seed=12).labels
+    features = np.random.default_rng(21).normal(size=(96,) + spec.input_shape)
+    ds = Dataset(features, labels, spec.num_classes)
+    part = _uneven_shards(ds, 8)
+    members = [(cut, a) for cut in spec.cut_presets.values() for a in (attack, _no_attack())]
+    starts = [nn.init_params(spec, 21 + i) for i in range(len(members))]
+    stacked = np.array(starts)
+    models = [split.SplitModel(spec, split.CutPoint(cut), row)
+              for (cut, _), row in zip(members, stacked)]
+    ctx = RoundContext(1, selected, malicious, lr=0.05)
+    infos = run_splitfed_round(ctx, models, nn.ParamViews(spec.layout, stacked), ds, part,
+                               8, 4, [a for _, a in members], defense)
+    for (cut, a), start, model, info in zip(members, starts, models, infos):
+        alone = split.split_at(spec, start, split.CutPoint(cut))
+        want, = run_splitfed_round(ctx, [alone], alone.row, ds, part, 8, 4, [a], defense)
+        assert info.rows.tobytes() == want.rows.tobytes()
+        assert (info.loss, info.gamma, info.deviation) == (want.loss, want.gamma,
+                                                           want.deviation)
+        assert model.params.tobytes() == alone.params.tobytes()
 
 
 def test_splitfed_train_runs_without_the_split_steps(monkeypatch):
@@ -813,20 +848,25 @@ def _fork_config(**overrides):
 @pytest.mark.parametrize("mode", ["fl", "splitfed"])
 def test_a_forked_run_trains_the_bits_of_a_fresh_one(mode, attack, start):
     """A reference run forked at the attack's first round (at most the last
-    round) and trained on gives the fresh run's records and final
-    parameters, and the reference's own run is not disturbed."""
+    round), where the fork joins its stack, gives the fresh run's records and
+    final parameters from its own train() call, and the reference's own run
+    is not disturbed."""
     config = _fork_config(mode=mode, attack=attack, attack_start_round=start)
     at = min(config.resolved_attack_start(), config.rounds)
+    assert protocol.fork_round(config) == at
     reference = protocol.Run(dataclasses.replace(config, attack="none"))
-    reference.fork_plan = (at, [config])
+    reference.fork_plan = [(reference, config)]
     ref_records = train(reference)
-    fork, = reference.forks
+    assert reference.fork_plan == []
+    me, fork = reference.stack
+    assert me is reference and fork.rounds_done == config.rounds
     records = train(fork)
     fresh = protocol.Run(config)
     assert _bits(records) == _bits(train(fresh))
     assert fork.params.tobytes() == fresh.params.tobytes()
-    # the rounds before the fork are the reference's, its timings included
-    assert [r.wall_ms for r in records[:at]] == [r.wall_ms for r in ref_records[:at]]
+    # the rounds before the fork are the reference's, and every record
+    # times its stack's round
+    assert [r.wall_ms for r in records] == [r.wall_ms for r in ref_records]
     assert not any(mine is theirs for mine, theirs in zip(records, ref_records))
     alone = protocol.Run(reference.config)
     assert _bits(ref_records) == _bits(train(alone))
@@ -840,6 +880,26 @@ def test_fork_refuses_a_config_that_differs_outside_the_attack(change):
     other = dataclasses.replace(run.config, attack="lie", **change)
     with pytest.raises(ValueError, match=f"cannot fork: {next(iter(change))} differ"):
         run.fork(other)
+
+
+def test_join_refuses_a_run_of_another_data_group_or_round():
+    """Runs step together only when they read the same draws at the same
+    round; a cut sibling at round 0 joins, and the stack is no reference
+    cycle."""
+    config = _fork_config(mode="splitfed")
+    run = protocol.Run(config)
+    with pytest.raises(ValueError, match="another data group"):
+        run.join([protocol.Run(dataclasses.replace(config, seed=2))])
+    later = protocol.Run(dataclasses.replace(config, cut="v3"))
+    later.step()
+    with pytest.raises(ValueError, match="at round 1 to one at round 0"):
+        run.join([later])
+    lead, sibling = protocol.Run(config), protocol.Run(dataclasses.replace(config, cut="v3"))
+    lead.join([sibling])
+    assert lead.stack == [lead, sibling] and sibling.stack == [sibling]
+    gone = weakref.ref(lead)
+    del lead, sibling
+    assert gone() is None   # freed at once, not left for the cyclic collector
 
 
 def test_fork_refuses_a_round_past_either_attack_start():

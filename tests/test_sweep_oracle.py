@@ -4,13 +4,15 @@ each config on its own.
 
 Small grids of valid configs that share a base are drawn with the validity
 oracle's draw_config, then varied in mode, cut, defense, attack, malicious
-fraction, attack start and partition (Dirichlet shards often give a client
-one sample, as partition_dirichlet does when it refills a client that its
-draw left empty); one base in five reads IDX data. A grid often holds an
-attacked config with its attack = none reference, which train_many trains as
-one task that forks there. Records are compared field by field, floats by
-float.hex, wall_ms aside; a config that fails must raise the same exception
-type both ways.
+fraction, attack start, partition and seed (Dirichlet shards often give a
+client one sample, as partition_dirichlet does when it refills a client that
+its draw left empty); one base in five reads IDX data. Half the variants
+differ from their member only in the cut or the attack, so a grid often
+holds a data group that train_many steps as one stack, splitfed runs at
+several cuts among them, and an attacked config with its attack = none
+reference, which forks from it and joins the stack there. Records are
+compared field by field, floats by float.hex, wall_ms aside; a config that
+fails must raise the same exception type both ways.
 """
 import dataclasses
 
@@ -19,7 +21,7 @@ import pytest
 
 from splitfedsim.config import ConfigError, ExperimentConfig
 from splitfedsim.experiments import train_many
-from splitfedsim.protocol import Run, build_datasets, build_partition, train
+from splitfedsim.protocol import Run, build_datasets, build_partition, data_group, train
 from test_validity_oracle import _pick, draw_config
 
 GRIDS = 50
@@ -34,7 +36,10 @@ VARIED = {
     "attack_start_round": (-1, 0, 1, 2, 3, 5),
     "partition": ("iid", "dirichlet"),
     "lr": (0.05, 0.5, 1e4),   # 1e4 diverges now and then, in a few rounds
+    "seed": (0, 1, 2),        # another data group, with the same shapes
 }
+# the varied fields that keep a config in its member's data group
+IN_GROUP = ("cut", "attack", "attack_start_round")
 
 
 def _valid(config) -> bool:
@@ -47,7 +52,8 @@ def _valid(config) -> bool:
 
 def draw_grid(rng, idx_fields) -> list:
     """2 to 6 valid configs: a drawn base, variants of members in one or two
-    VARIED fields, and attack = none references of attacked members."""
+    VARIED fields (half the time IN_GROUP fields only), and attack = none
+    references of attacked members."""
     base = draw_config(rng, idx_fields)
     while not _valid(base):
         base = draw_config(rng, idx_fields)
@@ -59,7 +65,8 @@ def draw_grid(rng, idx_fields) -> list:
         if member.attack != "none" and rng.random() < 0.4:
             config = dataclasses.replace(member, attack="none")
         else:
-            keys = rng.choice(list(VARIED), size=int(rng.integers(1, 3)), replace=False)
+            fields = IN_GROUP if rng.random() < 0.5 else list(VARIED)
+            keys = rng.choice(fields, size=int(rng.integers(1, 3)), replace=False)
             config = dataclasses.replace(member, **{k: _pick(rng, VARIED[k]) for k in keys})
         if _valid(config):
             grid.append(config)
@@ -91,6 +98,17 @@ def _gives_a_client_one_sample(config) -> bool:
     except ConfigError:
         return False
     return min(len(shard) for shard in build_partition(config, train_ds)) == 1
+
+
+def _stacks_three_at_two_cuts(grid) -> bool:
+    """Whether train_many steps three or more of grid's splitfed runs, at
+    two or more cuts, as one stack."""
+    groups: dict[tuple, set] = {}
+    for config in grid:
+        if config.mode == "splitfed":
+            groups.setdefault(data_group(config), {})[dataclasses.astuple(config)] = config
+    return any(len(g) >= 3 and len({c.cut for c in g.values()}) >= 2
+               for g in groups.values())
 
 
 def _run_to_end(run):
@@ -128,7 +146,7 @@ def _check_fork(rng, config):
 
 def test_train_many_and_forks_compute_the_bits_of_separate_runs(idx_fields):
     rng = np.random.default_rng(SEED)
-    forked = grouped = failed = idx = single = 0
+    forked = grouped = stacked = failed = idx = single = 0
     for _ in range(GRIDS):
         grid = draw_grid(rng, idx_fields)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -149,11 +167,12 @@ def test_train_many_and_forks_compute_the_bits_of_separate_runs(idx_fields):
         single += any(_gives_a_client_one_sample(c) for c in grid)
         grouped += any(dataclasses.replace(c, attack="none") in grid
                        for c in grid if c.attack != "none")
-    # the draws must keep reaching the fork paths, failing runs, IDX data
-    # and Dirichlet shards of one sample
-    counts = forked, grouped, failed, idx, single
-    assert (forked >= GRIDS // 2 and grouped >= GRIDS // 4 and failed
-            and idx >= GRIDS // 10 and single >= GRIDS // 10), counts
+        stacked += _stacks_three_at_two_cuts(grid)
+    # the draws must keep reaching the fork paths, splitfed stacks across
+    # cuts, failing runs, IDX data and Dirichlet shards of one sample
+    counts = forked, grouped, stacked, failed, idx, single
+    assert (forked >= GRIDS // 2 and grouped >= GRIDS // 4 and stacked >= GRIDS // 4
+            and failed and idx >= GRIDS // 10 and single >= GRIDS // 10), counts
 
 
 @pytest.mark.parametrize("mode,seed,start", [("fl", 0, 6), ("fl", 0, 2), ("splitfed", 5, 1)])
